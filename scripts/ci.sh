@@ -2,7 +2,8 @@
 # Tier-1 verify: configure, build, run the full ctest suite, then the
 # persistent-cache / sharded-sweep smoke checks.
 # Usage: scripts/ci.sh [quick|test|smoke|asan]
-#   quick  -- build + the fast unit-label subset (pre-commit loop)
+#   quick  -- build + the fast unit-label subset (pre-commit loop) +
+#             full-size lockstep/skip --dump-stats parity on 3 sims
 #   test   -- build + the full ctest suite
 #   smoke  -- cache/shard end-to-end checks against an existing build
 #   asan   -- ASan+UBSan instrumented build (build-asan/) + the
@@ -32,6 +33,30 @@ asan() {
     UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
         ctest --test-dir build-asan --output-on-failure \
         -j "$(nproc)" -L quick
+}
+
+# Scheduler parity at full size: --dump-stats must be byte-identical
+# under lockstep and skip, where skip also elides quiescent cores inside
+# executed core edges. One sim per memory system the elision proof
+# consults: the crossbar (baseline), ideal pipes (P-inf) and bypassed
+# L1 replies (L1-bypass).
+scheduler_parity() {
+    parity_tmp=$(mktemp -d)
+    for run in bfs@baseline sc@P-inf mm@L1-bypass; do
+        for sched in lockstep skip; do
+            ./build/bwsim --dump-stats --benches="${run%@*}" \
+                --config="${run#*@}" --scheduler="$sched" \
+                > "$parity_tmp/$sched.out"
+        done
+        cmp -s "$parity_tmp/lockstep.out" "$parity_tmp/skip.out" || {
+            echo "quick FAIL: $run --dump-stats differs between" \
+                 "--scheduler=lockstep and --scheduler=skip" >&2
+            rm -rf "$parity_tmp"
+            exit 1
+        }
+    done
+    rm -rf "$parity_tmp"
+    echo "quick: scheduler parity OK"
 }
 
 # End-to-end checks of the execution backends:
@@ -273,6 +298,7 @@ case "${1:-}" in
     quick)
         build
         run_tests -L quick
+        scheduler_parity
         ;;
     test)
         build

@@ -405,8 +405,8 @@ printUsage(std::ostream &os)
           "  --exec-stats      print cache/backend counters and the\n"
           "                    simulation-speed report (core-cycles,\n"
           "                    wall seconds, cycles/sec, ticked vs\n"
-          "                    skipped clock edges, fused spans) to\n"
-          "                    stderr\n"
+          "                    skipped clock edges, fused spans,\n"
+          "                    elided core ticks) to stderr\n"
           "  --profile-ticks   time every executed clock-domain tick:\n"
           "                    per-domain cost histograms appear as a\n"
           "                    'tick_profile' group in --dump-stats\n"
@@ -536,7 +536,7 @@ printExecStats(std::ostream &err)
         "bwsim: sim speed: scheduler=%s runs=%llu "
         "core-cycles=%llu wall=%.3fs cycles/sec=%.4g "
         "ticked-edges=%llu skipped-edges=%llu "
-        "fused-spans=%llu fused-cycles=%llu\n",
+        "fused-spans=%llu fused-cycles=%llu core-elided-ticks=%llu\n",
         schedulerModeName(schedulerMode()),
         static_cast<unsigned long long>(speed.runs),
         static_cast<unsigned long long>(speed.coreCycles),
@@ -544,7 +544,8 @@ printExecStats(std::ostream &err)
         static_cast<unsigned long long>(speed.tickedEdges),
         static_cast<unsigned long long>(speed.skippedEdges),
         static_cast<unsigned long long>(speed.fusedSpans),
-        static_cast<unsigned long long>(speed.fusedCycles));
+        static_cast<unsigned long long>(speed.fusedCycles),
+        static_cast<unsigned long long>(speed.coreElidedTicks));
     if (tickProfileEnabled()) {
         for (const auto &d : tickProfileTotals()) {
             err << csprintf(
@@ -556,12 +557,13 @@ printExecStats(std::ostream &err)
         }
         err << csprintf(
             "bwsim: tick profile: fused-spans=%llu fused-cycles=%llu "
-            "avg-cycles-per-span=%.1f\n",
+            "avg-cycles-per-span=%.1f core-elided-ticks=%llu\n",
             static_cast<unsigned long long>(speed.fusedSpans),
             static_cast<unsigned long long>(speed.fusedCycles),
             speed.fusedSpans
                 ? double(speed.fusedCycles) / double(speed.fusedSpans)
-                : 0.0);
+                : 0.0,
+            static_cast<unsigned long long>(speed.coreElidedTicks));
     }
 }
 

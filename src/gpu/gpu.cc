@@ -159,9 +159,19 @@ Gpu::takeCta(int core_id)
 void
 Gpu::coreTick()
 {
-    ++coreCycleCount;
+    const std::uint64_t pre_cycle = coreCycleCount++;
     double now_ps = clocks.nowPs();
+    // Under the skip scheduler a core whose own tick is provably
+    // integrable is charged one skipped cycle instead of ticking, even
+    // when the rest of the chip keeps this edge busy. Lockstep ticks
+    // every core: it is the oracle this elision is checked against.
+    const bool elide = schedulerMode() == SchedulerMode::Skip;
     for (int c = 0; c < cfg.numCores; ++c) {
+        if (elide && coreIdleHorizon(c, pre_cycle) > 0) {
+            cores[c]->skipCycles(1);
+            ++coreElidedTicks;
+            continue;
+        }
         memSys->deliverResponses(c, *cores[c], now_ps, coreCycleCount);
         cores[c]->tick(now_ps);
         memSys->acceptRequests(c, *cores[c], now_ps, coreCycleCount);
@@ -169,38 +179,41 @@ Gpu::coreTick()
 }
 
 std::uint64_t
-Gpu::coreQuiesceHorizon()
+Gpu::coreIdleHorizon(int c, std::uint64_t pre_cycle)
 {
     // Cheapest rejections first: a busy core (memoized inside SmCore)
     // or a pending outgoing miss pins the horizon before the
-    // MemSystem's reply-readiness scan is consulted. The scan starts
-    // at the core that vetoed last time -- an active core usually
-    // stays active, so a pinned horizon is rediscovered in one probe.
+    // MemSystem's reply-readiness check is consulted.
+    std::uint64_t h = cores[c]->quiesceHorizon();
+    if (h == 0)
+        return 0;
+    // A pending outgoing miss only pins the horizon if the network can
+    // actually accept it: a blocked injection attempt is a pure no-op,
+    // frozen until an icnt tick frees the port (which invalidates the
+    // domain horizon via the affects map, and is never inside a core
+    // edge).
+    if (cores[c]->hasOutgoing() && !memSys->requestPortBlocked(c))
+        return 0;
+    return std::min(h, memSys->coreHorizon(c, pre_cycle));
+}
+
+std::uint64_t
+Gpu::coreQuiesceHorizon()
+{
+    // The scan starts at the core that vetoed last time -- an active
+    // core usually stays active, so a pinned horizon is rediscovered
+    // in one probe.
     std::uint64_t h = kInfiniteHorizon;
     for (int i = 0; i < cfg.numCores; ++i) {
         int c = lastCoreVeto + i;
         if (c >= cfg.numCores)
             c -= cfg.numCores;
-        std::uint64_t ch = cores[c]->quiesceHorizon();
+        std::uint64_t ch = coreIdleHorizon(c, coreCycleCount);
         if (ch == 0) {
             lastCoreVeto = c;
             return 0;
         }
         h = std::min(h, ch);
-        // A pending outgoing miss only pins the horizon if the network
-        // can actually accept it: a blocked injection attempt is a
-        // pure no-op, frozen until an icnt tick frees the port (which
-        // invalidates this horizon via the affects map).
-        if (cores[c]->hasOutgoing() && !memSys->requestPortBlocked(c)) {
-            lastCoreVeto = c;
-            return 0;
-        }
-        std::uint64_t mh = memSys->coreHorizon(c, coreCycleCount);
-        if (mh == 0) {
-            lastCoreVeto = c;
-            return 0;
-        }
-        h = std::min(h, mh);
     }
     return h;
 }
@@ -244,6 +257,7 @@ Gpu::run()
     const std::uint64_t cycles0 = coreCycleCount;
     const std::uint64_t ticked0 = clocks.tickedEdges();
     const std::uint64_t skipped0 = clocks.skippedEdges();
+    const std::uint64_t elided0 = coreElidedTicks;
     const auto prof0 = tickProf;
     const auto wall0 = std::chrono::steady_clock::now();
 
@@ -274,6 +288,7 @@ Gpu::run()
     recordSimSpeed(coreCycleCount - cycles0,
                    clocks.tickedEdges() - ticked0,
                    clocks.skippedEdges() - skipped0,
+                   coreElidedTicks - elided0,
                    static_cast<std::uint64_t>(wall_ns));
     if (tickProfileEnabled()) {
         for (std::size_t s = 0; s < numProfSlots; ++s) {

@@ -74,6 +74,8 @@ class Gpu : public WorkSource
     Interconnect *interconnect() { return memSys->interconnect(); }
     const MemFetchAllocator &allocator() const { return alloc; }
     std::uint64_t coreCycles() const { return coreCycleCount; }
+    /** Core ticks replaced by skipCycles(1) inside executed edges. */
+    std::uint64_t elidedCoreTicks() const { return coreElidedTicks; }
     bool allWorkDone() const;
     SimResult harvest() const;
     /**@}*/
@@ -88,7 +90,16 @@ class Gpu : public WorkSource
 
   private:
     void coreTick();
-    /** Core-domain quiescence horizon (min over cores + MemSystem). */
+    /**
+     * Per-core quiescence proof: edges for which core @p c needs no
+     * deliverResponses/tick/acceptRequests (0 = it must tick). Holds
+     * when the core's own horizon is open, no outgoing miss could be
+     * injected, and the MemSystem has nothing to hand it. @p pre_cycle
+     * is the core-cycle count before the edge, which IdealMemSystem
+     * keys its pipes on.
+     */
+    std::uint64_t coreIdleHorizon(int c, std::uint64_t pre_cycle);
+    /** Core-domain quiescence horizon (min of coreIdleHorizon). */
     std::uint64_t coreQuiesceHorizon();
     /** Integrate a skipped core-domain span into every core. */
     void coreSkip(std::uint64_t n);
@@ -124,6 +135,8 @@ class Gpu : public WorkSource
     MultiClock clocks;
     std::size_t coreDomain = 0, icntDomain = 0, dramDomain = 0;
     std::uint64_t coreCycleCount = 0;
+    /** Core ticks replaced by skipCycles(1) inside executed edges. */
+    std::uint64_t coreElidedTicks = 0;
     /** Core that vetoed the last horizon probe; scanned first next. */
     int lastCoreVeto = 0;
 

@@ -58,6 +58,13 @@ struct SimSpeedTotals
      */
     std::uint64_t fusedSpans = 0;
     std::uint64_t fusedCycles = 0;
+    /**
+     * Per-core ticks the skip scheduler replaced by a one-cycle
+     * integration inside an executed core edge (the core was provably
+     * quiescent while others kept the edge busy). A speed counter
+     * only: it never enters SimResult or the default stats tree.
+     */
+    std::uint64_t coreElidedTicks = 0;
     std::uint64_t wallNanos = 0;
 
     double
@@ -71,7 +78,9 @@ struct SimSpeedTotals
 
 /** Record one completed simulation (thread-safe). */
 void recordSimSpeed(std::uint64_t core_cycles, std::uint64_t ticked_edges,
-                    std::uint64_t skipped_edges, std::uint64_t wall_nanos);
+                    std::uint64_t skipped_edges,
+                    std::uint64_t core_elided_ticks,
+                    std::uint64_t wall_nanos);
 
 /**
  * Record one fused span: a flush of @p fused_cycles skipped edges in

@@ -19,6 +19,7 @@ SmCore::SmCore(const CoreParams &params, MemFetchAllocator *allocator)
       headSrc(params.maxWarps, -1),
       warpPendingLsu(params.maxWarps, 0),
       schedList(params.numSchedulers),
+      schedMask(params.numSchedulers, 0),
       ctas(params.maxCtasResident),
       scoreboard(params.maxWarps),
       lsu(params.memPipelineWidth),
@@ -35,6 +36,8 @@ SmCore::SmCore(const CoreParams &params, MemFetchAllocator *allocator)
                  cfg.coreId);
     bwsim_assert(cfg.memPipelineWidth > 0,
                  "core %d: memory pipeline needs width", cfg.coreId);
+    for (int w = 0; w < cfg.maxWarps; ++w)
+        schedMask[w % cfg.numSchedulers] |= std::uint64_t(1) << w;
 
     CacheParams l1dp = cfg.l1d;
     l1dp.name = csprintf("l1d_c%d", cfg.coreId);
@@ -110,22 +113,27 @@ SmCore::syncHead(int warp)
 void
 SmCore::updateWarpBits(int warp)
 {
-    std::uint64_t bit = std::uint64_t(1) << warp;
+    const std::uint64_t bit = std::uint64_t(1) << warp;
+    auto set = [bit](std::uint64_t &mask, bool on) {
+        mask = on ? (mask | bit) : (mask & ~bit);
+    };
     std::uint8_t f = wflags[warp];
     bool live = f & WfInUse;
-    bool eligible = f == WfInUse &&
-                    int(ibufCnt[warp]) < cfg.ibufferEntries;
-    fetchEligible = eligible ? (fetchEligible | bit)
-                             : (fetchEligible & ~bit);
+    set(fetchEligible,
+        f == WfInUse && int(ibufCnt[warp]) < cfg.ibufferEntries);
     bool decoded = live && ibufCnt[warp] > 0;
-    decodedMask = decoded ? (decodedMask | bit) : (decodedMask & ~bit);
-    bool unfetched = live && (!(f & WfCursorDone) ||
-                              (f & WfWaitingIFetch));
-    unfetchedMask = unfetched ? (unfetchedMask | bit)
-                              : (unfetchedMask & ~bit);
-    bool mem_pending = live && warpPendingLsu[warp] > 0;
-    memPendingMask = mem_pending ? (memPendingMask | bit)
-                                 : (memPendingMask & ~bit);
+    set(unfetchedMask,
+        live && (!(f & WfCursorDone) || (f & WfWaitingIFetch)));
+    set(memPendingMask, live && warpPendingLsu[warp] > 0);
+    PendingKind blocked = PendingKind::None;
+    set(hazardFree, decoded && scoreboard.canIssueRegs(
+                                   warp, headSrc[warp], headDest[warp],
+                                   blocked));
+    set(blockedMem, decoded && blocked == PendingKind::Mem);
+    set(blockedAlu, decoded && blocked == PendingKind::Alu);
+    set(retireReady, f == (WfInUse | WfCursorDone) && ibufCnt[warp] == 0 &&
+                         warpPendingLsu[warp] == 0 &&
+                         !scoreboard.anyPending(warp));
 }
 
 void
@@ -176,9 +184,19 @@ SmCore::maybeDispatchCtas()
             ++launched;
         }
         schedListDirty = true;
-        retireDirty = true; // empty-program warps retire immediately
         issueDirty = true;
     }
+}
+
+int
+SmCore::nextFetchWarp() const
+{
+    std::uint64_t rotated = fetchPtr < 64
+                                ? (fetchEligible &
+                                   (~std::uint64_t(0) << fetchPtr))
+                                : 0;
+    return rotated ? __builtin_ctzll(rotated)
+                   : __builtin_ctzll(fetchEligible);
 }
 
 void
@@ -188,12 +206,7 @@ SmCore::fetchStage(double now_ps)
     // wants instructions, found via the eligibility bitmask.
     if (fetchEligible == 0)
         return;
-    std::uint64_t rotated = fetchPtr < 64
-                                ? (fetchEligible &
-                                   (~std::uint64_t(0) << fetchPtr))
-                                : 0;
-    int w = rotated ? __builtin_ctzll(rotated)
-                    : __builtin_ctzll(fetchEligible);
+    int w = nextFetchWarp();
 
     // Batched retry: a stalled I-fetch leaves the cache and the warp's
     // PC untouched, and L1I stall outcomes depend only on cache state
@@ -239,16 +252,13 @@ SmCore::fetchStage(double now_ps)
             bool ok = warp.cursor->next(inst);
             bwsim_assert(ok, "cursor lied about done()");
             warp.ibuf.push_back(std::move(inst));
-            if (ibufCnt[w]++ == 0)
-                ++decodedWarps;
+            ++ibufCnt[w];
         }
         if (was_empty)
             syncHead(w);
         issueDirty = true; // refilled I-buffer: new issue candidate
-        if (warp.cursor->done()) {
+        if (warp.cursor->done())
             wflags[w] |= WfCursorDone;
-            retireDirty = true;
-        }
     } else if (out == CacheOutcome::MissIssued ||
                out == CacheOutcome::MissMerged) {
         wflags[w] |= WfWaitingIFetch;
@@ -301,6 +311,8 @@ SmCore::lsuAllocSlot(int warp, const WarpInstData &inst)
             warp, s.write, s.write ? -1 : inst.dest,
             static_cast<std::uint32_t>(s.addrs.size()));
         ++lsuOccupied;
+        if (lsuOldest < 0)
+            lsuOldest = i;
         return i;
     }
     panic("lsuAllocSlot with no free slot");
@@ -327,128 +339,65 @@ void
 SmCore::popIbufHead(int warp)
 {
     warps[warp].ibuf.pop_front();
-    if (--ibufCnt[warp] == 0) {
-        --decodedWarps;
-        if (wflags[warp] & WfCursorDone)
-            retireDirty = true;
-    } else {
+    if (--ibufCnt[warp] > 0)
         syncHead(warp);
-    }
     updateWarpBits(warp);
 }
 
 void
 SmCore::issueStage()
 {
-    // Batched retry: a zero-issue scan has no side effects beyond the
-    // saw-flags, and its outcome is a pure function of state that only
-    // changes at marked points (issue itself, exec completions, fetch
-    // refills, memory completions, dispatch/retire), each of which
-    // sets issueDirty. While clean, this cycle's scan would re-derive
-    // exactly the flags the last scan left behind: keep them and skip
-    // the warp loop.
-    if (!issueDirty) {
-        issuedThisCycle = 0;
-        aluIssuedThisCycle = 0;
-        return;
-    }
-
     issuedThisCycle = 0;
     aluIssuedThisCycle = 0;
-    sawStructMem = sawStructAlu = sawDataMem = sawDataAlu = false;
 
-    if (schedListDirty)
-        rebuildSchedLists();
+    // Batched retry: a zero-issue scan has no side effects beyond the
+    // struct flags, and its outcome is a pure function of state that
+    // only changes at marked points (issue itself, exec completions,
+    // fetch refills, memory completions, dispatch/retire), each of
+    // which sets issueDirty. While clean, this cycle's scan would
+    // re-derive exactly the flags the last scan left behind: keep
+    // them and skip the warp loop.
+    if (!issueDirty)
+        return;
+    sawStructMem = sawStructAlu = false;
 
     for (int s = 0; s < cfg.numSchedulers; ++s) {
-        int greedy = (cfg.sched == SchedPolicy::Gto) ? greedyWarp[s] : -1;
+        // Only warps whose head clears the scoreboard can issue or meet
+        // a structural hazard; data-blocked warps are accounted for by
+        // blockedMem/blockedAlu without being visited.
+        std::uint64_t cand = hazardFree & schedMask[s];
+        if (cand == 0)
+            continue;
+        if (schedListDirty)
+            rebuildSchedLists();
         const auto &list = schedList[s];
 
-        // Candidate order: greedy warp first, then oldest-first. The
-        // schedList is age-sorted and only rebuilt on dispatch/retire.
+        // Candidate order: greedy warp first, then oldest-first (GTO),
+        // or the age list rotated by lrrPtr (LRR). The schedList is
+        // age-sorted and only rebuilt on dispatch/retire. Each
+        // candidate is visited once; the walk ends at the first issue
+        // or once no candidate is left.
         int issued_warp = -1;
-        std::size_t start = (cfg.sched == SchedPolicy::Lrr)
-                                ? std::size_t(lrrPtr[s]) % std::max<
-                                      std::size_t>(1, list.size())
-                                : 0;
-        std::size_t count = list.size() + (greedy >= 0 ? 1 : 0);
-        for (std::size_t k = 0; k < count; ++k) {
-            int w;
-            if (greedy >= 0 && k == 0) {
-                w = greedy;
-                if (!(wflags[w] & WfInUse))
-                    continue;
-            } else {
-                std::size_t li = k - (greedy >= 0 ? 1 : 0);
-                if (li >= list.size())
-                    break;
-                w = list[(start + li) % list.size()];
-                if (w == greedy)
-                    continue;
+        auto visit = [&](int w) {
+            const std::uint64_t bit = std::uint64_t(1) << w;
+            if (!(cand & bit))
+                return;
+            cand &= ~bit;
+            if (tryIssue(w))
+                issued_warp = w;
+        };
+        const std::size_t n = list.size();
+        if (cfg.sched == SchedPolicy::Gto) {
+            if (greedyWarp[s] >= 0)
+                visit(greedyWarp[s]);
+            for (std::size_t i = 0; issued_warp < 0 && cand && i < n; ++i)
+                visit(list[i]);
+        } else {
+            std::size_t li = std::size_t(lrrPtr[s]) % n;
+            for (std::size_t k = 0; issued_warp < 0 && cand && k < n; ++k) {
+                visit(list[li]);
+                li = li + 1 == n ? 0 : li + 1;
             }
-            if (ibufCnt[w] == 0)
-                continue;
-
-            // Hazard checks run on the compact head mirror; the deque
-            // is only touched when the instruction actually issues.
-            Op op = static_cast<Op>(headOp[w]);
-            PendingKind blocked;
-            if (!scoreboard.canIssueRegs(w, headSrc[w], headDest[w],
-                                         blocked)) {
-                if (blocked == PendingKind::Mem)
-                    sawDataMem = true;
-                else
-                    sawDataAlu = true;
-                continue;
-            }
-
-            bool is_mem = (op == Op::Load || op == Op::Store);
-            bool unit_free;
-            if (is_mem) {
-                unit_free = lsuHasFreeSlot();
-                if (!unit_free)
-                    sawStructMem = true;
-            } else if (op == Op::Sfu) {
-                unit_free = sfuInflight < cfg.sfuInflightCap &&
-                            aluIssuedThisCycle < cfg.aluIssuePerCycle;
-                if (!unit_free)
-                    sawStructAlu = true;
-            } else {
-                unit_free = aluInflight < cfg.aluInflightCap &&
-                            aluIssuedThisCycle < cfg.aluIssuePerCycle;
-                if (!unit_free)
-                    sawStructAlu = true;
-            }
-            if (!unit_free)
-                continue;
-
-            // Issue.
-            Warp &warp = warps[w];
-            const WarpInstData &inst = warp.ibuf.front();
-            if (inst.isMem()) {
-                lsuAllocSlot(w, inst);
-                if (inst.op == Op::Load) {
-                    scoreboard.setPending(w, inst.dest, PendingKind::Mem);
-                    ++ctr.loadsIssued;
-                } else {
-                    ++ctr.storesIssued;
-                }
-            } else {
-                if (inst.dest >= 0)
-                    scoreboard.setPending(w, inst.dest, PendingKind::Alu);
-                auto &pipe = (inst.op == Op::Sfu) ? sfuPipe : aluPipe;
-                pipe.push({w, inst.dest}, cycle + inst.latency);
-                if (inst.op == Op::Sfu)
-                    ++sfuInflight;
-                else
-                    ++aluInflight;
-                ++aluIssuedThisCycle;
-            }
-            popIbufHead(w);
-            issued_warp = w;
-            ++issuedThisCycle;
-            ++ctr.issuedInsts;
-            break; // one instruction per scheduler per cycle
         }
 
         if (issued_warp >= 0) {
@@ -465,23 +414,78 @@ SmCore::issueStage()
     issueDirty = (issuedThisCycle > 0);
 }
 
+bool
+SmCore::tryIssue(int w)
+{
+    // Hazard checks run on the compact head mirror; the deque is only
+    // touched when the instruction actually issues.
+    Op op = static_cast<Op>(headOp[w]);
+    bool is_mem = (op == Op::Load || op == Op::Store);
+    bool unit_free;
+    if (is_mem) {
+        unit_free = lsuHasFreeSlot();
+        if (!unit_free)
+            sawStructMem = true;
+    } else if (op == Op::Sfu) {
+        unit_free = sfuInflight < cfg.sfuInflightCap &&
+                    aluIssuedThisCycle < cfg.aluIssuePerCycle;
+        if (!unit_free)
+            sawStructAlu = true;
+    } else {
+        unit_free = aluInflight < cfg.aluInflightCap &&
+                    aluIssuedThisCycle < cfg.aluIssuePerCycle;
+        if (!unit_free)
+            sawStructAlu = true;
+    }
+    if (!unit_free)
+        return false;
+
+    Warp &warp = warps[w];
+    const WarpInstData &inst = warp.ibuf.front();
+    if (inst.isMem()) {
+        lsuAllocSlot(w, inst);
+        if (inst.op == Op::Load) {
+            scoreboard.setPending(w, inst.dest, PendingKind::Mem);
+            ++ctr.loadsIssued;
+        } else {
+            ++ctr.storesIssued;
+        }
+    } else {
+        if (inst.dest >= 0)
+            scoreboard.setPending(w, inst.dest, PendingKind::Alu);
+        auto &pipe = (inst.op == Op::Sfu) ? sfuPipe : aluPipe;
+        pipe.push({w, inst.dest}, cycle + inst.latency);
+        if (inst.op == Op::Sfu)
+            ++sfuInflight;
+        else
+            ++aluInflight;
+        ++aluIssuedThisCycle;
+    }
+    popIbufHead(w);
+    ++issuedThisCycle;
+    ++ctr.issuedInsts;
+    return true; // one instruction per scheduler per cycle
+}
+
 void
 SmCore::execStage()
 {
     while (aluPipe.ready(cycle)) {
         auto [w, reg] = aluPipe.pop();
-        if (reg >= 0)
+        if (reg >= 0) {
             scoreboard.clear(w, reg);
+            updateWarpBits(w);
+        }
         --aluInflight;
-        retireDirty = true;
         issueDirty = true;
     }
     while (sfuPipe.ready(cycle)) {
         auto [w, reg] = sfuPipe.pop();
-        if (reg >= 0)
+        if (reg >= 0) {
             scoreboard.clear(w, reg);
+            updateWarpBits(w);
+        }
         --sfuInflight;
-        retireDirty = true;
         issueDirty = true;
     }
 }
@@ -506,7 +510,6 @@ SmCore::pendingAccessDone(int pending_idx)
     updateWarpBits(p.warpId);
     p.valid = false;
     pendingFree.push_back(pending_idx);
-    retireDirty = true;
     issueDirty = true;
 }
 
@@ -519,15 +522,10 @@ SmCore::memStage(double now_ps)
         pendingAccessDone(idx);
     }
 
-    if (lsuOccupied == 0)
-        return;
-
     // Present the oldest buffered access to the L1D (one per cycle).
-    int oldest = oldestLsuSlot();
-    if (oldest < 0)
+    if (lsuOldest < 0)
         return;
-
-    LsuSlot &s = lsu[oldest];
+    LsuSlot &s = lsu[lsuOldest];
 
     // Batched retry: a stalled L1D access leaves the cache untouched,
     // and L1 stall outcomes are pure functions of cache state (no data
@@ -577,6 +575,7 @@ SmCore::memStage(double now_ps)
         s.valid = false;
         s.addrs.clear();
         --lsuOccupied;
+        lsuOldest = oldestLsuSlot();
     }
     switch (out) {
       case CacheOutcome::HitServiced:
@@ -613,15 +612,9 @@ SmCore::oldestLsuSlot() const
 void
 SmCore::retireFinishedWarps()
 {
-    if (!retireDirty)
-        return;
-    retireDirty = false;
-    for (int w = 0; w < int(warps.size()); ++w) {
-        if (wflags[w] != (WfInUse | WfCursorDone) || ibufCnt[w] != 0)
-            continue;
+    for (std::uint64_t m = retireReady; m; m &= m - 1) {
+        int w = __builtin_ctzll(m);
         Warp &warp = warps[w];
-        if (warpPendingLsu[w] > 0 || scoreboard.anyPending(w))
-            continue;
         wflags[w] = 0;
         updateWarpBits(w);
         warp.cursor.reset();
@@ -649,32 +642,31 @@ SmCore::classifyStallCycle()
     }
     if (liveWarps == 0)
         return; // idle core: no work resident, not a stall
-
-    IssueStall cause;
-    if (decodedWarps > 0) {
-        if (sawStructMem)
-            cause = IssueStall::StrMem;
-        else if (sawStructAlu)
-            cause = IssueStall::StrAlu;
-        else if (sawDataMem)
-            cause = IssueStall::DataMem;
-        else if (sawDataAlu)
-            cause = IssueStall::DataAlu;
-        else
-            cause = IssueStall::Fetch; // decoded only on an idle sched
-    } else {
-        // Nothing decoded anywhere: fetch-starved, unless every live
-        // warp is merely draining its last memory/ALU operations.
-        bool any_unfetched = (unfetchedMask != 0);
-        bool any_mem_pending = (memPendingMask != 0);
-        if (any_unfetched)
-            cause = IssueStall::Fetch;
-        else if (any_mem_pending)
-            cause = IssueStall::DataMem; // draining the memory tail
-        else
-            cause = IssueStall::DataAlu; // draining the exec pipes
-    }
+    IssueStall cause = stallCause(sawStructMem, sawStructAlu);
     ++ctr.issueStalls[static_cast<unsigned>(cause)];
+}
+
+IssueStall
+SmCore::stallCause(bool struct_mem, bool struct_alu) const
+{
+    if (hazardFree | blockedMem | blockedAlu) { // anything decoded
+        if (struct_mem)
+            return IssueStall::StrMem;
+        if (struct_alu)
+            return IssueStall::StrAlu;
+        if (blockedMem)
+            return IssueStall::DataMem;
+        if (blockedAlu)
+            return IssueStall::DataAlu;
+        return IssueStall::Fetch; // decoded only on an idle sched
+    }
+    // Nothing decoded anywhere: fetch-starved, unless every live warp
+    // is merely draining its last memory/ALU operations.
+    if (unfetchedMask)
+        return IssueStall::Fetch;
+    if (memPendingMask)
+        return IssueStall::DataMem; // draining the memory tail
+    return IssueStall::DataAlu;     // draining the exec pipes
 }
 
 void
@@ -701,41 +693,53 @@ SmCore::tick(double now_ps)
 }
 
 std::uint64_t
-SmCore::quiesceHorizon()
-{
-    // The dry-run below is hot under the cycle-skip scheduler: every
-    // executed crossbar edge re-queries the core domain's horizon. The
-    // result only depends on core-internal state, so it stays valid
-    // until the next tick()/deliverResponse() and just shrinks as
-    // cycles are skipped (events sit at absolute cycle stamps).
-    if (qhValid)
-        return qhCache;
-    qhCache = computeQuiesceHorizon();
-    qhValid = true;
-    return qhCache;
-}
-
-std::uint64_t
 SmCore::computeQuiesceHorizon()
 {
     // Any stage that could act on the very next tick in a way a bulk
     // charge cannot reproduce pins the horizon at 0: dispatch, a
-    // retire scan, or the finish latch.
+    // retirement, or the finish latch.
     if (source && activeCtas < cfg.maxCtasResident && source->hasWork())
         return 0;
-    if (retireDirty)
+    if (retireReady)
         return 0;
     if (!finishedLatched && done())
         return 0;
+
+    // Dry-run the issue scan: if any hazard-free warp's unit is free,
+    // the tick must run. Otherwise the structural flags below are
+    // exactly the ones a zero-issue issueStage() would set from this
+    // (frozen) state, feeding the stall classification; data hazards
+    // come from blockedMem/blockedAlu. When the batched-retry memo is
+    // clean (!issueDirty), the last real scan already issued nothing
+    // from this same state and its flags are current.
+    bool saw_struct_mem = sawStructMem, saw_struct_alu = sawStructAlu;
+    if (issueDirty) {
+        saw_struct_mem = saw_struct_alu = false;
+        for (std::uint64_t m = hazardFree; m; m &= m - 1) {
+            Op op = static_cast<Op>(headOp[__builtin_ctzll(m)]);
+            if (op == Op::Load || op == Op::Store) {
+                if (lsuHasFreeSlot())
+                    return 0;
+                saw_struct_mem = true;
+            } else {
+                // aluIssuedThisCycle resets to 0 at issueStage entry,
+                // so only the inflight caps gate a would-be issue.
+                bool free = op == Op::Sfu ? sfuInflight < cfg.sfuInflightCap
+                                          : aluInflight < cfg.aluInflightCap;
+                if (free && cfg.aluIssuePerCycle > 0)
+                    return 0;
+                saw_struct_alu = true;
+            }
+        }
+    }
 
     // A buffered LSU access whose stall cause is memoized against the
     // current L1D version is a fused span: each skipped cycle is
     // exactly one replayed countStall() on the oldest slot, charged in
     // bulk by skipCycles(). An unmemoized (or stale) access must tick
     // to re-probe.
-    if (lsuOccupied > 0) {
-        int oldest = oldestLsuSlot();
-        const LsuSlot &s = lsu[oldest];
+    if (lsuOldest >= 0) {
+        const LsuSlot &s = lsu[lsuOldest];
         if (!(memRetryValid && l1dCache->version() == memRetryVer &&
               s.seq == memRetrySeq && s.nextIdx == memRetryIdx)) {
             return 0;
@@ -748,87 +752,14 @@ SmCore::computeQuiesceHorizon()
     // countStall() for the warp the rotation lands on -- integrable in
     // closed form (see integrateFetchRotation). Any eligible warp
     // without a valid memo must tick to probe the I-cache.
-    if (fetchEligible != 0) {
-        for (std::uint64_t m = fetchEligible; m; m &= m - 1) {
-            if (fetchMemoVer[__builtin_ctzll(m)] != l1iCache->version())
-                return 0;
-        }
-    }
-
-    // Dry-run the issue scan on the compact head mirrors. If any
-    // decoded warp can issue, the tick must run. Otherwise the scan
-    // reproduces exactly the saw-flags a zero-issue issueStage() would
-    // set from this (frozen) state, feeding the stall classification.
-    // When the batched-retry memo is clean (!issueDirty), the last
-    // real scan already issued nothing from this same state and its
-    // saw-flags are current: reuse them and skip the dry-run entirely.
-    bool saw_struct_mem = false, saw_struct_alu = false;
-    bool saw_data_mem = false, saw_data_alu = false;
-    if (!issueDirty) {
-        saw_struct_mem = sawStructMem;
-        saw_struct_alu = sawStructAlu;
-        saw_data_mem = sawDataMem;
-        saw_data_alu = sawDataAlu;
-    } else if (decodedWarps > 0) {
-        for (std::uint64_t m = decodedMask; m; m &= m - 1) {
-            int w = __builtin_ctzll(m);
-            PendingKind blocked;
-            if (!scoreboard.canIssueRegs(w, headSrc[w], headDest[w],
-                                         blocked)) {
-                if (blocked == PendingKind::Mem)
-                    saw_data_mem = true;
-                else
-                    saw_data_alu = true;
-                continue;
-            }
-            Op op = static_cast<Op>(headOp[w]);
-            if (op == Op::Load || op == Op::Store) {
-                if (lsuHasFreeSlot())
-                    return 0;
-                saw_struct_mem = true;
-            } else if (op == Op::Sfu) {
-                // aluIssuedThisCycle resets to 0 at issueStage entry,
-                // so only the inflight caps gate a would-be issue.
-                if (sfuInflight < cfg.sfuInflightCap &&
-                    cfg.aluIssuePerCycle > 0) {
-                    return 0;
-                }
-                saw_struct_alu = true;
-            } else {
-                if (aluInflight < cfg.aluInflightCap &&
-                    cfg.aluIssuePerCycle > 0) {
-                    return 0;
-                }
-                saw_struct_alu = true;
-            }
-        }
+    for (std::uint64_t m = fetchEligible; m; m &= m - 1) {
+        if (fetchMemoVer[__builtin_ctzll(m)] != l1iCache->version())
+            return 0;
     }
 
     // Freeze the stall cause for the span, mirroring
     // classifyStallCycle() on the state every skipped cycle will see.
-    IssueStall cause;
-    if (decodedWarps > 0) {
-        if (saw_struct_mem)
-            cause = IssueStall::StrMem;
-        else if (saw_struct_alu)
-            cause = IssueStall::StrAlu;
-        else if (saw_data_mem)
-            cause = IssueStall::DataMem;
-        else if (saw_data_alu)
-            cause = IssueStall::DataAlu;
-        else
-            cause = IssueStall::Fetch;
-    } else {
-        bool any_unfetched = (unfetchedMask != 0);
-        bool any_mem_pending = (memPendingMask != 0);
-        if (any_unfetched)
-            cause = IssueStall::Fetch;
-        else if (any_mem_pending)
-            cause = IssueStall::DataMem;
-        else
-            cause = IssueStall::DataAlu;
-    }
-    skipStallCause = cause;
+    skipStallCause = stallCause(saw_struct_mem, saw_struct_alu);
 
     // Earliest pipe completion, relative to the pre-incremented cycle
     // counter (an event at cycle value X fires on the tick that makes
@@ -857,7 +788,16 @@ SmCore::integrateFetchRotation(std::uint64_t n)
     // (wrapping), replays its memoized stall, and advances fetchPtr
     // past it. With eligibility frozen, the visit sequence walks the
     // eligible set in circular ascending order, so warp i of the
-    // rotation gets floor(n/m) or ceil(n/m) replayed stalls.
+    // rotation gets floor(n/m) or ceil(n/m) replayed stalls. One cycle
+    // (a core elided inside an executed edge) is just fetchStage()'s
+    // pick.
+    if (n == 1) {
+        int w = nextFetchWarp();
+        l1iCache->countStall(
+            static_cast<CacheStallCause>(fetchMemoCause[w]));
+        fetchPtr = (w + 1) % int(warps.size());
+        return;
+    }
     int order[64];
     int m = 0;
     for (std::uint64_t mask = fetchEligible; mask; mask &= mask - 1)
@@ -898,7 +838,7 @@ SmCore::skipCycles(std::uint64_t n)
     // next executed instant), so re-deriving from live state replays
     // exactly what n lockstep ticks would have counted.
     bool fused = false;
-    if (lsuOccupied > 0) {
+    if (lsuOldest >= 0) {
         l1dCache->countStalls(memRetryCause, n);
         fused = true;
     }
@@ -919,12 +859,6 @@ SmCore::done() const
     if (source && source->hasWork())
         return false;
     return aluInflight == 0 && sfuInflight == 0;
-}
-
-bool
-SmCore::hasOutgoing() const
-{
-    return !l1dCache->missQueueEmpty() || !l1iCache->missQueueEmpty();
 }
 
 MemFetch *
@@ -994,6 +928,75 @@ SmCore::deliverResponse(MemFetch *mf, double now_ps)
         }
     }
     alloc->free(mf);
+}
+
+std::string
+SmCore::checkConsistency() const
+{
+    std::vector<std::uint32_t> pending(warps.size(), 0);
+    for (const PendingMemOp &p : pendingOps)
+        if (p.valid)
+            ++pending[p.warpId];
+
+    std::uint64_t want_eligible = 0, want_unfetched = 0;
+    std::uint64_t want_mem_pending = 0, want_free = 0, want_mem = 0;
+    std::uint64_t want_alu = 0, want_retire = 0;
+    for (int w = 0; w < int(warps.size()); ++w) {
+        const std::uint64_t bit = std::uint64_t(1) << w;
+        const Warp &warp = warps[w];
+        const std::uint8_t f = wflags[w];
+        if (!(f & WfInUse))
+            continue;
+        if (pending[w] != warpPendingLsu[w])
+            return csprintf("core %d warp %d: %u pending ops, counter "
+                            "says %u",
+                            cfg.coreId, w, pending[w], warpPendingLsu[w]);
+        const std::size_t depth = warp.ibuf.size();
+        if (depth != ibufCnt[w])
+            return csprintf("core %d warp %d: I-buffer holds %zu, mirror "
+                            "says %u",
+                            cfg.coreId, w, depth, unsigned(ibufCnt[w]));
+        if (f == WfInUse && int(depth) < cfg.ibufferEntries)
+            want_eligible |= bit;
+        if (!(f & WfCursorDone) || (f & WfWaitingIFetch))
+            want_unfetched |= bit;
+        if (pending[w] > 0)
+            want_mem_pending |= bit;
+        if (depth > 0) {
+            PendingKind blocked;
+            if (scoreboard.canIssue(w, warp.ibuf.front(), blocked))
+                want_free |= bit;
+            else if (blocked == PendingKind::Mem)
+                want_mem |= bit;
+            else
+                want_alu |= bit;
+        } else if (f == (WfInUse | WfCursorDone) && pending[w] == 0 &&
+                   !scoreboard.anyPending(w)) {
+            want_retire |= bit;
+        }
+    }
+    const std::pair<const char *, std::pair<std::uint64_t, std::uint64_t>>
+        masks[] = {
+            {"fetchEligible", {fetchEligible, want_eligible}},
+            {"unfetchedMask", {unfetchedMask, want_unfetched}},
+            {"memPendingMask", {memPendingMask, want_mem_pending}},
+            {"hazardFree", {hazardFree, want_free}},
+            {"blockedMem", {blockedMem, want_mem}},
+            {"blockedAlu", {blockedAlu, want_alu}},
+            {"retireReady", {retireReady, want_retire}},
+        };
+    for (const auto &[name, have_want] : masks) {
+        if (have_want.first != have_want.second)
+            return csprintf("core %d: %s is %#llx, recomputed %#llx",
+                            cfg.coreId, name,
+                            static_cast<unsigned long long>(have_want.first),
+                            static_cast<unsigned long long>(
+                                have_want.second));
+    }
+    if (lsuOldest != oldestLsuSlot())
+        return csprintf("core %d: cached oldest LSU slot %d, scan finds %d",
+                        cfg.coreId, lsuOldest, oldestLsuSlot());
+    return "";
 }
 
 } // namespace bwsim

@@ -22,8 +22,10 @@
  * responses (fills).
  *
  * Implementation note: per-warp hot state is mirrored in compact
- * parallel arrays (flags, I-buffer depth) so the per-cycle scheduler
- * and fetch scans stay cache-friendly at 48 warps x 15 cores.
+ * parallel arrays (flags, I-buffer depth) and 64-bit warp masks
+ * (fetch-eligible, hazard-free, blocked-by-kind, retire-ready), so the
+ * per-cycle fetch, issue and retire scans visit only the warps that
+ * can act, at 48 warps x 15 cores.
  */
 
 #ifndef BWSIM_SMCORE_SM_CORE_HH
@@ -34,6 +36,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "cache/cache.hh"
@@ -169,8 +172,22 @@ class SmCore
      * skipCycles() charges the increments in one shot.
      * Also precomputes the (frozen) per-cycle stall classification the
      * skipped span will be attributed to by skipCycles().
+     *
+     * Hot under the cycle-skip scheduler (every core edge asks, per
+     * core), so it is memoized: the result only depends on
+     * core-internal state, stays valid until the next tick() or
+     * deliverResponse(), and just shrinks as cycles are skipped
+     * (events sit at absolute cycle stamps).
      */
-    std::uint64_t quiesceHorizon();
+    std::uint64_t
+    quiesceHorizon()
+    {
+        if (!qhValid) {
+            qhCache = computeQuiesceHorizon();
+            qhValid = true;
+        }
+        return qhCache;
+    }
 
     /**
      * Integrate @p n skipped cycles: cycle/active-cycle counters, the
@@ -187,7 +204,11 @@ class SmCore
 
     /** @name Miss traffic toward the interconnect (GPU drains this) */
     /**@{*/
-    bool hasOutgoing() const;
+    bool
+    hasOutgoing() const
+    {
+        return !l1dCache->missQueueEmpty() || !l1iCache->missQueueEmpty();
+    }
     MemFetch *peekOutgoing();
     void popOutgoing();
     /**@}*/
@@ -197,6 +218,16 @@ class SmCore
 
     /** Live warps right now (tests / occupancy stats). */
     int activeWarps() const { return liveWarps; }
+
+    /**
+     * Consistency check for tests: recompute every incrementally
+     * maintained per-warp mask (hazardFree, blockedMem, blockedAlu,
+     * retireReady and the fetch/unfetched/pending masks) and the cached
+     * oldest LSU slot from the primary state -- I-buffer deques,
+     * scoreboard, pending memory ops, LSU slots. Returns "" when all
+     * agree, else a description of the first mismatch.
+     */
+    std::string checkConsistency() const;
 
   private:
     struct Warp
@@ -251,11 +282,19 @@ class SmCore
 
     void maybeDispatchCtas();
     void fetchStage(double now_ps);
+    /** First fetch-eligible warp at or after fetchPtr (wrapping). */
+    int nextFetchWarp() const;
     void issueStage();
+    /** Issue @p warp's (hazard-free) head if its unit is free; else
+     *  record the structural hazard. True iff it issued. */
+    bool tryIssue(int warp);
     void execStage();
     void memStage(double now_ps);
     void retireFinishedWarps();
     void classifyStallCycle();
+    /** The Fig. 7 cause of a zero-issue cycle, given the structural
+     *  hazards the issue scan met. */
+    IssueStall stallCause(bool struct_mem, bool struct_alu) const;
     void pendingAccessDone(int pending_idx);
     bool lsuHasFreeSlot() const { return lsuOccupied < int(lsu.size()); }
     int lsuAllocSlot(int warp, const WarpInstData &inst);
@@ -264,6 +303,7 @@ class SmCore
     void rebuildSchedLists();
     void popIbufHead(int warp);
     std::uint64_t computeQuiesceHorizon();
+    /** Scan for the valid LSU slot with the lowest seq (-1: none). */
     int oldestLsuSlot() const;
     void integrateFetchRotation(std::uint64_t n);
 
@@ -286,27 +326,36 @@ class SmCore
      *  classification and retire scans never touch struct Warp). */
     std::vector<std::uint32_t> warpPendingLsu;
     /** @name Packed per-warp state (SoA hot-scan masks)
-     *  The per-cycle scans (fetch arbitration, issue dry-run, stall
-     *  classification) walk these bitmasks with ctz loops instead of
-     *  striding over the Warp array. Every mask is updated at the
-     *  same mutation points that maintain wflags/ibufCnt (see
-     *  updateWarpBits). */
+     *  The per-cycle scans (fetch arbitration, issue scan and dry-run,
+     *  stall classification, retirement) walk these bitmasks with ctz
+     *  loops instead of striding over the Warp array. updateWarpBits
+     *  recomputes a warp's bits at every mutation of its flags,
+     *  I-buffer, scoreboard entries or pending memory ops. */
     /**@{*/
     /** Bit w set iff warp w may attempt a fetch this cycle. */
     std::uint64_t fetchEligible = 0;
-    /** Bit w set iff warp w is in use with a non-empty I-buffer. */
-    std::uint64_t decodedMask = 0;
     /** Bit w set iff warp w is live and still fetching (cursor not
      *  done, or parked on an I-cache miss). */
     std::uint64_t unfetchedMask = 0;
     /** Bit w set iff warp w is live with outstanding memory ops. */
     std::uint64_t memPendingMask = 0;
+    /** A decoded warp (live, non-empty I-buffer) is in exactly one of
+     *  hazardFree, blockedMem and blockedAlu. Bit w of hazardFree is
+     *  set iff warp w is decoded and its head clears the scoreboard:
+     *  the only warps an issue scan needs to visit. */
+    std::uint64_t hazardFree = 0;
+    /** Bit w set iff warp w is decoded and its head is blocked by a
+     *  pending write of that kind (memory wins, as in Scoreboard). */
+    std::uint64_t blockedMem = 0;
+    std::uint64_t blockedAlu = 0;
+    /** Bit w set iff warp w is done with every instruction and has
+     *  nothing in flight: retireFinishedWarps() retires exactly these. */
+    std::uint64_t retireReady = 0;
     /**@}*/
     int liveWarps = 0;
-    int decodedWarps = 0; ///< warps with a non-empty I-buffer
-    bool retireDirty = false;
     bool schedListDirty = true;
     std::vector<std::vector<int>> schedList; ///< per-sched, age order
+    std::vector<std::uint64_t> schedMask; ///< per-sched warp-index bits
     void syncHead(int warp);
     void updateWarpBits(int warp);
 
@@ -318,6 +367,10 @@ class SmCore
     std::vector<LsuSlot> lsu;
     std::uint64_t lsuSeq = 0;
     int lsuOccupied = 0;
+    /** Cached oldestLsuSlot(). Only the oldest slot is ever presented
+     *  to the L1D, so slots free in FIFO order and this changes only
+     *  when the first slot is allocated or the oldest one frees. */
+    int lsuOldest = -1;
     std::vector<PendingMemOp> pendingOps;
     std::vector<int> pendingFree;
     /** L1D hit completions in flight: PendingMemOp index, ready cycle. */
@@ -335,10 +388,12 @@ class SmCore
     std::vector<int> lrrPtr;     ///< per scheduler
     bool outgoingToggle = false;
 
-    /** Per-cycle issue bookkeeping for stall classification. */
+    /** Per-cycle issue bookkeeping for stall classification. Data
+     *  hazards come from blockedMem/blockedAlu, which are exact
+     *  whenever the classification reads them (after a zero-issue
+     *  scan, with nothing changed since). */
     int issuedThisCycle = 0;
     bool sawStructMem = false, sawStructAlu = false;
-    bool sawDataMem = false, sawDataAlu = false;
     int aluIssuedThisCycle = 0;
 
     /**
@@ -346,7 +401,7 @@ class SmCore
      *
      * A zero-issue scheduler scan and a stalled L1 access are pure
      * functions of core/cache state: re-running them each cycle while
-     * nothing changed re-derives the same saw-flags / stall cause.
+     * nothing changed re-derives the same struct flags / stall cause.
      * The memos below skip the re-derivation and replay the counter
      * math; every mutation that could change the outcome either bumps
      * the cache version or sets issueDirty, so the replayed values are
@@ -354,7 +409,7 @@ class SmCore
      */
     /**@{*/
     /** False only while no state consulted by issueStage() has
-     *  changed since a zero-issue scan left the saw-flags set. */
+     *  changed since a zero-issue scan left the struct flags set. */
     bool issueDirty = true;
     /** Memoized stalled L1D access: valid while the L1D version and
      *  the presented access (slot seq, access index) are unchanged

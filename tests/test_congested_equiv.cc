@@ -14,10 +14,18 @@
  * suite benchmark at the golden shrink factor and first *proves* the
  * run was congested -- nonzero backpressure counters at every level --
  * before asserting equivalence.
+ *
+ * The skip scheduler also elides individually quiescent cores inside
+ * executed core edges. Its proof leans on the memory system below the
+ * L1s, so the byte-identity check repeats on the hierarchies where
+ * that differs (ideal pipes keyed on the pre-incremented core cycle,
+ * and L1-bypass replies completing memory ops directly), and the
+ * SmCore warp masks the proof reads are audited after every tick.
  */
 
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <sstream>
 #include <string>
 
@@ -53,11 +61,30 @@ congestedProfile()
     return shrinkProfile(*bfs, 16);
 }
 
+GpuConfig
+preset(const std::string &name)
+{
+    GpuConfig cfg;
+    EXPECT_TRUE(findConfigPreset(name, cfg)) << "no preset " << name;
+    return cfg;
+}
+
+/** gtest parameter names may not contain '-' or '+'. */
 std::string
-dumpUnder(SchedulerMode mode)
+presetTestName(const ::testing::TestParamInfo<const char *> &info)
+{
+    std::string name = info.param;
+    for (char &c : name)
+        if (!std::isalnum(static_cast<unsigned char>(c)))
+            c = '_';
+    return name;
+}
+
+std::string
+dumpUnder(SchedulerMode mode, const GpuConfig &cfg = GpuConfig::baseline())
 {
     ScopedSchedulerMode scope(mode);
-    Gpu gpu(GpuConfig::baseline(), congestedProfile());
+    Gpu gpu(cfg, congestedProfile());
     SimResult r = gpu.run();
     EXPECT_FALSE(r.timedOut);
     std::ostringstream os;
@@ -151,6 +178,8 @@ TEST(CongestedEquiv, SchedulerModesProduceByteIdenticalStats)
     EXPECT_GE(after.skippedEdges - before.skippedEdges,
               after.fusedCycles - before.fusedCycles)
         << "fused cycles must be a subset of skipped edges";
+    EXPECT_GT(after.coreElidedTicks, before.coreElidedTicks)
+        << "skip run elided no quiescent core ticks";
 
     // The run must actually be congested, or this test proves nothing.
     // Every backpressure mechanism the fast paths touch has to have
@@ -180,3 +209,61 @@ TEST(CongestedEquiv, SkipModeIsDeterministic)
     EXPECT_TRUE(a == b) << "skip mode not deterministic at "
                         << firstDiff(a, b);
 }
+
+/** Lockstep vs skip on the hierarchies the per-core proof differs on. */
+class ElisionEquiv : public ::testing::TestWithParam<const char *>
+{
+};
+
+TEST_P(ElisionEquiv, SchedulerModesProduceByteIdenticalStats)
+{
+    const GpuConfig cfg = preset(GetParam());
+    const std::string lock = dumpUnder(SchedulerMode::Lockstep, cfg);
+    const SimSpeedTotals before = simSpeedTotals();
+    const std::string skip = dumpUnder(SchedulerMode::Skip, cfg);
+    const SimSpeedTotals after = simSpeedTotals();
+
+    EXPECT_GT(after.coreElidedTicks, before.coreElidedTicks)
+        << "skip run elided no quiescent core ticks";
+    EXPECT_TRUE(lock == skip)
+        << "lockstep and skip stats diverged at " << firstDiff(lock, skip);
+}
+
+INSTANTIATE_TEST_SUITE_P(Configs, ElisionEquiv,
+                         ::testing::Values("P-inf", "fixed-200",
+                                           "L1-bypass"),
+                         presetTestName);
+
+/**
+ * The warp masks and the cached oldest LSU slot that the issue scan,
+ * the retire scan and the quiescence proof read must match a recompute
+ * from scratch after every core cycle -- including cycles where cores
+ * were elided -- on a congested run and on L1-bypass, where bypassed
+ * replies complete memory ops without an L1 fill.
+ */
+class CoreMaskConsistency : public ::testing::TestWithParam<const char *>
+{
+};
+
+TEST_P(CoreMaskConsistency, MasksMatchRecomputeAfterEveryTick)
+{
+    ScopedSchedulerMode scope(SchedulerMode::Skip);
+    const GpuConfig cfg = preset(GetParam());
+    Gpu gpu(cfg, congestedProfile());
+    while (!gpu.allWorkDone()) {
+        ASSERT_LT(gpu.coreCycles(), cfg.maxCoreCycles)
+            << "run hit the cycle cap";
+        gpu.runCycles(1);
+        for (int c = 0; c < cfg.numCores; ++c) {
+            const std::string why = gpu.core(c).checkConsistency();
+            ASSERT_TRUE(why.empty())
+                << "after core cycle " << gpu.coreCycles() << ": " << why;
+        }
+    }
+    EXPECT_GT(gpu.elidedCoreTicks(), 0u)
+        << "no core tick was elided: the audit missed the elided path";
+}
+
+INSTANTIATE_TEST_SUITE_P(Configs, CoreMaskConsistency,
+                         ::testing::Values("baseline", "L1-bypass"),
+                         presetTestName);
