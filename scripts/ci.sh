@@ -1,11 +1,11 @@
 #!/usr/bin/env sh
 # Tier-1 verify: configure, build, run the full ctest suite, then the
-# persistent-cache / sharded-sweep smoke checks.
+# persistent-cache / fan-out smoke checks.
 # Usage: scripts/ci.sh [quick|test|smoke|asan]
 #   quick  -- build + the fast unit-label subset (pre-commit loop) +
 #             full-size lockstep/skip --dump-stats parity on 3 sims
 #   test   -- build + the full ctest suite
-#   smoke  -- cache/shard end-to-end checks against an existing build
+#   smoke  -- cache/fan-out end-to-end checks against an existing build
 #   asan   -- ASan+UBSan instrumented build (build-asan/) + the
 #             quick-label suites under both sanitizers
 #   (none) -- test + smoke
@@ -62,9 +62,10 @@ scheduler_parity() {
 # End-to-end checks of the execution backends:
 #  1. a warm --cache-dir invocation must simulate nothing (the run
 #     counter printed by --exec-stats must say sims=0);
-#  2. a sharded --jobs sweep must print tables byte-identical to the
-#     single-process run;
-#  3. a --backend=queue sweep drained by two bwsim --worker processes
+#  2. a --jobs sweep (forked workers on a private work-queue spool),
+#     with and without --cache-dir, must print tables byte-identical
+#     to the single-process run and remove its spool;
+#  3. a --spool-dir sweep drained by two bwsim --worker processes
 #     must also print byte-identical tables;
 #  4. --cache-stats must report the warm entries and --cache-max-mb=0
 #     must evict them all.
@@ -88,17 +89,24 @@ smoke() {
         exit 1
     }
 
-    echo "smoke: --jobs sharded sweep parity"
+    echo "smoke: --jobs work-queue sweep parity"
     ./build/bwsim $bwsim_args > "$smoke_tmp/single.out"
-    ./build/bwsim $bwsim_args --jobs=2 --cache-dir="$smoke_tmp/jobs" \
-        > "$smoke_tmp/jobs.out"
-    cmp "$smoke_tmp/single.out" "$smoke_tmp/jobs.out" || {
-        echo "smoke FAIL: --jobs=2 tables differ from the" \
-             "single-process run" >&2
-        exit 1
-    }
+    mkdir "$smoke_tmp/tmpdir"
+    for jobs_cache in "" "--cache-dir=$smoke_tmp/jobs"; do
+        TMPDIR="$smoke_tmp/tmpdir" ./build/bwsim $bwsim_args --jobs=2 \
+            $jobs_cache > "$smoke_tmp/jobs.out"
+        cmp "$smoke_tmp/single.out" "$smoke_tmp/jobs.out" || {
+            echo "smoke FAIL: --jobs=2 ${jobs_cache:-without --cache-dir}" \
+                 "tables differ from the single-process run" >&2
+            exit 1
+        }
+        [ -z "$(ls -A "$smoke_tmp/tmpdir")" ] || {
+            echo "smoke FAIL: --jobs=2 left its spool behind" >&2
+            exit 1
+        }
+    done
 
-    echo "smoke: --backend=queue parity with 2 workers"
+    echo "smoke: --spool-dir work-queue parity with 2 workers"
     spool="$smoke_tmp/spool"
     ./build/bwsim --worker --spool-dir="$spool" \
         2> "$smoke_tmp/worker1.err" &
@@ -110,7 +118,7 @@ smoke() {
     # better a fast diagnosable failure than a hung CI job.
     queue_rc=0
     timeout 300 \
-        ./build/bwsim $bwsim_args --backend=queue --spool-dir="$spool" \
+        ./build/bwsim $bwsim_args --spool-dir="$spool" \
         > "$smoke_tmp/queue.out" 2> "$smoke_tmp/queue.err" \
         || queue_rc=$?
     # Stop sentinel: workers drain the queue, then exit. Wait one pid
@@ -125,17 +133,17 @@ smoke() {
         exit 1
     }
     [ "$queue_rc" -eq 0 ] || {
-        echo "smoke FAIL: the --backend=queue parent failed:" >&2
+        echo "smoke FAIL: the --spool-dir parent failed:" >&2
         cat "$smoke_tmp/queue.err" >&2
         exit 1
     }
     cmp "$smoke_tmp/single.out" "$smoke_tmp/queue.out" || {
-        echo "smoke FAIL: --backend=queue tables differ from the" \
+        echo "smoke FAIL: --spool-dir tables differ from the" \
              "single-process run" >&2
         exit 1
     }
 
-    echo "smoke: trace workloads (pack, replay parity, queue backend)"
+    echo "smoke: trace workloads (pack, replay parity, work queue)"
     # Pack the checked-in golden trace; text and binary must agree on
     # the content hash (their shared cache identity).
     trace_src=tests/golden/replay.trace
@@ -149,8 +157,8 @@ smoke() {
         echo "smoke FAIL: trace pack changed the content hash" >&2
         exit 1
     }
-    # Replay is bit-identical across scheduler modes and the --jobs
-    # fork-merge path, exactly like synthetic workloads.
+    # Replay is bit-identical across scheduler modes and --jobs,
+    # exactly like synthetic workloads.
     trace_args="fig4 --trace=$smoke_tmp/replay.bwtr --threads=2"
     ./build/bwsim $trace_args --scheduler=lockstep \
         > "$smoke_tmp/trace-lock.out"
@@ -175,7 +183,7 @@ smoke() {
         2> "$smoke_tmp/trace-worker.err" &
     trace_worker=$!
     trace_queue_rc=0
-    timeout 300 ./build/bwsim $trace_args --backend=queue \
+    timeout 300 ./build/bwsim $trace_args \
         --spool-dir="$tspool" --cache-dir="$smoke_tmp/trace-cache" \
         > "$smoke_tmp/trace-queue.out" 2> "$smoke_tmp/trace-queue.err" \
         || trace_queue_rc=$?
@@ -185,12 +193,12 @@ smoke() {
         exit 1
     }
     [ "$trace_queue_rc" -eq 0 ] || {
-        echo "smoke FAIL: the --backend=queue trace replay failed:" >&2
+        echo "smoke FAIL: the --spool-dir trace replay failed:" >&2
         cat "$smoke_tmp/trace-queue.err" >&2
         exit 1
     }
     cmp "$smoke_tmp/trace-lock.out" "$smoke_tmp/trace-queue.out" || {
-        echo "smoke FAIL: --backend=queue trace replay differs from" \
+        echo "smoke FAIL: --spool-dir trace replay differs from" \
              "the single-process run" >&2
         exit 1
     }

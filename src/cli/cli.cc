@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -21,10 +23,13 @@
 #include "workloads/trace_source.hh"
 
 #ifdef __unix__
-#include <fcntl.h>
+#include <signal.h>
 #include <sys/utsname.h>
 #include <sys/wait.h>
 #include <unistd.h>
+#endif
+#ifdef __linux__
+#include <sys/prctl.h>
 #endif
 
 namespace bwsim::cli
@@ -362,8 +367,11 @@ printUsage(std::ostream &os)
           "  --trace=FILE      replay a memory trace (text 'type addr'\n"
           "                    lines or `bwsim trace pack` binary) as\n"
           "                    the workload; cached by content hash\n"
-          "  --threads=N       host threads for the parallel runner\n"
-          "  --shrink=K        divide workload size by K (quick runs)\n"
+          "  --threads=N       host threads for the in-process runner\n"
+          "                    (0 = hardware concurrency; not used\n"
+          "                    under --jobs)\n"
+          "  --shrink=K        divide workload size by K >= 1 (quick\n"
+          "                    runs)\n"
           "  --format=F        table output: text (default), csv, tsv,\n"
           "                    json (one JSON object per table; JSON\n"
           "                    Lines across tables)\n"
@@ -379,20 +387,13 @@ printUsage(std::ostream &os)
           "  --cache-dir=DIR   persistent SimCache tier: warm\n"
           "                    (profile, config) pairs load from DIR\n"
           "                    instead of re-simulating\n"
-          "  --jobs=N          fork N shard workers over a shared\n"
-          "                    cache dir, then merge and print\n"
-          "  --shards=N        sharded-sweep worker mode: simulate\n"
-          "  --shard-id=I      only this worker's share of the keys\n"
-          "                    (requires --cache-dir; no tables are\n"
-          "                    printed, run the merge pass for those)\n"
-          "  --backend=B       how cache misses execute: threads\n"
-          "                    (in-process pool, default), jobs\n"
-          "                    (forked shard workers, needs --jobs),\n"
-          "                    queue (spool-dir work queue drained by\n"
-          "                    bwsim --worker processes on any hosts\n"
-          "                    sharing the filesystem)\n"
-          "  --spool-dir=DIR   work-queue spool directory\n"
-          "                    (--backend=queue and --worker)\n"
+          "  --jobs=N          fork N local worker processes on a\n"
+          "                    private work-queue spool; each runs one\n"
+          "                    simulation at a time\n"
+          "  --spool-dir=DIR   send cache misses to the work queue in\n"
+          "                    DIR, drained by bwsim --worker processes\n"
+          "                    on any hosts sharing DIR (not with\n"
+          "                    --jobs)\n"
           "  --job-timeout=S   reclaim a claimed-but-abandoned spool\n"
           "                    job after S seconds (default 300)\n"
           "  --worker          run as a work-queue worker: claim jobs\n"
@@ -433,8 +434,8 @@ printUsage(std::ostream &os)
           "--perf-out as JSON.\n"
           "\n"
           "Options may also come from BWSIM_BENCHES / BWSIM_THREADS /\n"
-          "BWSIM_SHRINK / BWSIM_CACHE_DIR / BWSIM_SPOOL_DIR; flags\n"
-          "win. Several experiments in one invocation share\n"
+          "BWSIM_SHRINK / BWSIM_CACHE_DIR; flags win. Several\n"
+          "experiments in one invocation share\n"
           "simulations through the SimCache; with --cache-dir they\n"
           "also share them across invocations and processes.\n";
 }
@@ -442,9 +443,9 @@ printUsage(std::ostream &os)
 void
 printList(std::ostream &os)
 {
-    stats::TextTable t({"experiment", "replaces", "description"});
+    stats::TextTable t({"experiment", "description"});
     for (const auto &e : experimentRegistry())
-        t.newRow().add(e.name).add(e.legacy).add(e.title);
+        t.newRow().add(e.name).add(e.title);
     t.print(os);
 }
 
@@ -524,12 +525,11 @@ printExecStats(std::ostream &err)
     const SimCache &cache = SimCache::global();
     err << csprintf(
         "bwsim: exec stats: sims=%llu mem-hits=%llu disk-hits=%llu "
-        "disk-stores=%llu skipped=%llu backend=%s\n",
+        "disk-stores=%llu backend=%s\n",
         static_cast<unsigned long long>(cache.simsRun()),
         static_cast<unsigned long long>(cache.hits()),
         static_cast<unsigned long long>(cache.diskHits()),
         static_cast<unsigned long long>(cache.diskStores()),
-        static_cast<unsigned long long>(cache.skipped()),
         exp::executionBackend().name().c_str());
     const SimSpeedTotals speed = simSpeedTotals();
     err << csprintf(
@@ -932,136 +932,169 @@ runTraceTool(const std::vector<std::string> &args, std::ostream &out,
     return 1;
 }
 
+/**
+ * Print @p names in order, blank-line separated, under the execution
+ * settings configureExecution() installed. The names are known to be
+ * registered.
+ */
+void
+printExperiments(const std::vector<std::string> &names,
+                 const exp::ExperimentOptions &opts, std::ostream &out)
+{
+    for (std::size_t i = 0; i < names.size(); ++i) {
+        if (i > 0)
+            out << "\n";
+        findExperiment(names[i])->run(opts, out);
+    }
+}
+
 #ifdef __unix__
 
-/** Join for --benches= round trips. */
-std::string
-joinCsv(const std::vector<std::string> &items)
+/** One forked --jobs worker; status is its waitpid() status once
+ *  reaped. */
+struct LocalWorker
 {
-    std::string out;
-    for (std::size_t i = 0; i < items.size(); ++i) {
-        if (i)
-            out += ',';
-        out += items[i];
+    pid_t pid;
+    bool reaped = false;
+    int status = 0;
+};
+
+/**
+ * The body of a --jobs child: the --worker loop on the private spool,
+ * then _exit(), so the child never returns into the parent's caller.
+ * The cache starts from the state fork() copied, so its simulation
+ * backend is reset: a queue backend left there would send the
+ * worker's own misses back to a spool.
+ */
+[[noreturn]] void
+runLocalWorker(const WorkQueueConfig &cfg, const std::string &cache_dir,
+               pid_t parent)
+{
+#ifdef __linux__
+    // Die with the parent: one that fatal()s or is killed never
+    // writes SPOOL/stop, and its workers would poll forever.
+    ::prctl(PR_SET_PDEATHSIG, SIGTERM);
+#endif
+    if (::getppid() != parent)
+        ::_exit(1);
+    int rc = 0;
+    try {
+        SimCache &cache = SimCache::global();
+        cache.setSimulationBackend(nullptr);
+        cache.attachDiskTier(cache_dir);
+        runWorker(cfg, cache);
+    } catch (const std::exception &e) {
+        std::fprintf(stderr, "bwsim: --jobs worker failed: %s\n",
+                     e.what());
+        rc = 1;
+    } catch (...) {
+        rc = 1;
     }
-    return out;
+    ::_exit(rc);
 }
 
 /**
- * The --jobs=N parent: fork N worker invocations of this binary, each
- * simulating one shard of the key space into a shared cache
- * directory, then run the experiments in-process against the warm
- * cache. The merged tables are byte-identical to a single-process
- * run.
+ * Reap the workers that have exited, without blocking; true while
+ * none has. Before the parent writes SPOOL/stop a worker never exits
+ * on its own, so one exit already fails the run: saying so at once
+ * beats waiting out the claim timeout on the job it held.
+ */
+bool
+allRunning(std::vector<LocalWorker> &workers)
+{
+    bool running = true;
+    for (auto &w : workers) {
+        if (!w.reaped) {
+            const pid_t r = ::waitpid(w.pid, &w.status, WNOHANG);
+            if (r < 0)
+                w.status = -1;
+            w.reaped = r != 0;
+        }
+        running = running && !w.reaped;
+    }
+    return running;
+}
+
+/**
+ * The --jobs=N parent: fork N work-queue workers on a private spool
+ * before any thread starts, run the experiments once through the
+ * queue, then stop and reap the workers and remove the spool. The
+ * tables are byte-identical to a single-process run.
  */
 int
 runJobs(const std::vector<std::string> &names,
         exp::ExperimentOptions opts, std::ostream &out, std::ostream &err)
 {
-    char exe[4096];
-    ssize_t len = ::readlink("/proc/self/exe", exe, sizeof(exe) - 1);
-    if (len <= 0) {
-        err << "bwsim: --jobs needs /proc/self/exe to respawn itself\n";
+    const std::string tmpl_str = scratchSpoolDirTemplate();
+    std::vector<char> tmpl(tmpl_str.begin(), tmpl_str.end());
+    tmpl.push_back('\0');
+    if (!::mkdtemp(tmpl.data())) {
+        err << "bwsim: cannot create a --jobs spool under '" << tmpl_str
+            << "'\n";
         return 1;
     }
-    exe[len] = '\0';
+    opts.spoolDir = tmpl.data();
+    WorkQueueConfig cfg;
+    cfg.spoolDir = opts.spoolDir;
+    cfg.jobTimeoutSec = static_cast<double>(opts.jobTimeoutSec);
 
-    std::string dir = opts.cacheDir;
-    if (dir.empty()) {
-        std::string tmpl_str = scratchCacheDirTemplate();
-        std::vector<char> tmpl(tmpl_str.begin(), tmpl_str.end());
-        tmpl.push_back('\0');
-        const char *d = ::mkdtemp(tmpl.data());
-        if (!d) {
-            err << "bwsim: cannot create a temporary --jobs cache dir "
-                   "under '"
-                << tmpl_str << "'\n";
-            return 1;
-        }
-        dir = d;
-        err << "bwsim: --jobs without --cache-dir; results kept in "
-            << dir << "\n";
-    }
+    // Children inherit unflushed stdio buffers; empty them first so
+    // nothing can be written twice.
+    out.flush();
+    err.flush();
+    std::cout.flush();
+    std::cerr.flush();
+    std::fflush(nullptr);
 
-    // Divide the thread budget across workers instead of letting each
-    // one claim the whole machine (0 = hardware concurrency).
-    int total_threads =
-        opts.threads > 0
-            ? opts.threads
-            : static_cast<int>(
-                  std::max(1u, std::thread::hardware_concurrency()));
-    int worker_threads = std::max(1, total_threads / opts.jobs);
-
-    std::vector<std::string> common_args;
-    for (const auto &n : names)
-        common_args.push_back(n);
-    if (!opts.benchmarks.empty())
-        common_args.push_back("--benches=" + joinCsv(opts.benchmarks));
-    if (!opts.tracePath.empty())
-        common_args.push_back("--trace=" + opts.tracePath);
-    common_args.push_back(csprintf("--threads=%d", worker_threads));
-    common_args.push_back(csprintf("--shrink=%d", opts.shrink));
-    common_args.push_back("--cache-dir=" + dir);
-    common_args.push_back(csprintf("--shards=%d", opts.jobs));
-
-    std::vector<pid_t> workers;
+    int rc = 0;
+    const pid_t parent = ::getpid();
+    std::vector<LocalWorker> workers;
     for (int i = 0; i < opts.jobs; ++i) {
-        pid_t pid = ::fork();
+        const pid_t pid = ::fork();
+        if (pid == 0)
+            runLocalWorker(cfg, opts.cacheDir, parent);
         if (pid < 0) {
-            err << "bwsim: fork failed for shard worker " << i << "\n";
-            for (pid_t w : workers)
-                ::waitpid(w, nullptr, 0);
-            return 1;
+            err << "bwsim: fork failed for --jobs worker " << i << "\n";
+            rc = 1;
+            break;
         }
-        if (pid == 0) {
-            // Workers stay quiet on stdout: the parent's merge pass
-            // prints the tables. stderr stays shared for errors. A
-            // worker that cannot detach stdout must die rather than
-            // interleave its tables with the merge pass's.
-            int devnull = ::open("/dev/null", O_WRONLY);
-            if (devnull < 0)
-                ::_exit(125);
-            ::dup2(devnull, STDOUT_FILENO);
-            ::close(devnull);
-            std::vector<std::string> args = common_args;
-            args.push_back(csprintf("--shard-id=%d", i));
-            std::vector<char *> argv;
-            argv.push_back(exe);
-            for (auto &a : args)
-                argv.push_back(const_cast<char *>(a.c_str()));
-            argv.push_back(nullptr);
-            ::execv(exe, argv.data());
-            ::_exit(127);
-        }
-        workers.push_back(pid);
+        workers.push_back({pid});
     }
 
-    bool failed = false;
-    for (pid_t w : workers) {
-        int status = 0;
-        if (::waitpid(w, &status, 0) < 0 || !WIFEXITED(status) ||
-            WEXITSTATUS(status) != 0)
-            failed = true;
-    }
-    if (failed) {
-        err << "bwsim: a --jobs shard worker failed\n";
-        return 1;
+    if (rc == 0) {
+        exp::configureExecution(
+            opts, [&workers] { return allRunning(workers); });
+        try {
+            printExperiments(names, opts, out);
+        } catch (const std::exception &e) {
+            err << "bwsim: --jobs: " << e.what() << "\n";
+            rc = 1;
+        }
+        // The installed liveness check refers to this frame.
+        SimCache::global().setSimulationBackend(nullptr);
     }
 
-    // Merge pass: every unique pair is warm in the shared directory,
-    // so this simulates nothing and prints in spec order.
-    opts.jobs = 1;
-    opts.shards = 1;
-    opts.shardId = 0;
-    opts.cacheDir = dir;
-    for (std::size_t i = 0; i < names.size(); ++i) {
-        if (i > 0)
-            out << "\n";
-        int rc = runExperiment(names[i], opts, out, err);
-        if (rc)
-            return rc;
+    // Idle workers exit on the stop sentinel; after a failure the
+    // busy ones are not worth waiting for.
+    std::ofstream(std::filesystem::path(opts.spoolDir) / "stop").close();
+    bool worker_failed = false;
+    for (auto &w : workers) {
+        if (!w.reaped) {
+            if (rc != 0)
+                ::kill(w.pid, SIGTERM);
+            if (::waitpid(w.pid, &w.status, 0) < 0)
+                w.status = -1;
+        }
+        if (!WIFEXITED(w.status) || WEXITSTATUS(w.status) != 0)
+            worker_failed = true;
     }
-    return 0;
+    if (worker_failed && rc == 0) {
+        err << "bwsim: a --jobs worker exited abnormally\n";
+        rc = 1;
+    }
+    std::error_code ec;
+    std::filesystem::remove_all(opts.spoolDir, ec);
+    return rc;
 }
 
 #endif // __unix__
@@ -1069,7 +1102,7 @@ runJobs(const std::vector<std::string> &names,
 } // anonymous namespace
 
 std::string
-scratchCacheDirTemplate()
+scratchSpoolDirTemplate()
 {
     // Respect TMPDIR like mktemp(1)/mkstemp(3) users do; /tmp is only
     // the fallback. Trailing slashes are trimmed so "$TMPDIR/" does
@@ -1078,47 +1111,31 @@ scratchCacheDirTemplate()
     std::string base = (tmpdir && *tmpdir) ? tmpdir : "/tmp";
     while (base.size() > 1 && base.back() == '/')
         base.pop_back();
-    return base + "/bwsim-cache-XXXXXX";
+    return base + "/bwsim-spool-XXXXXX";
 }
 
 const std::vector<Experiment> &
 experimentRegistry()
 {
     static const std::vector<Experiment> registry = {
-        {"tab1", "Table I: baseline architecture parameters",
-         "bench_tab01_config_dump", runTab1},
-        {"fig1", "Fig. 1: issue stalls and memory latencies",
-         "bench_fig01_stalls_latency", runFig1},
-        {"tab2", "Table II: P-inf / P-DRAM speedup bounds",
-         "bench_tab02_speedup_bounds", runTab2},
-        {"fig3", "Fig. 3: IPC vs. fixed L1 miss latency",
-         "bench_fig03_latency_sweep", runFig3},
-        {"fig4", "Fig. 4: L2 access queue occupancy",
-         "bench_fig04_l2q_occupancy", runFig4},
-        {"fig5", "Fig. 5: DRAM access queue occupancy",
-         "bench_fig05_dramq_occupancy", runFig5},
-        {"sec4", "Sec. IV-B1: DRAM bandwidth efficiency",
-         "bench_sec4_dram_efficiency", runSec4},
-        {"fig7", "Fig. 7: issue-stall distribution",
-         "bench_fig07_issue_stalls", runFig7},
-        {"fig8", "Fig. 8: L2 stall distribution",
-         "bench_fig08_l2_stalls", runFig8},
-        {"fig9", "Fig. 9: L1 stall distribution",
-         "bench_fig09_l1_stalls", runFig9},
+        {"tab1", "Table I: baseline architecture parameters", runTab1},
+        {"fig1", "Fig. 1: issue stalls and memory latencies", runFig1},
+        {"tab2", "Table II: P-inf / P-DRAM speedup bounds", runTab2},
+        {"fig3", "Fig. 3: IPC vs. fixed L1 miss latency", runFig3},
+        {"fig4", "Fig. 4: L2 access queue occupancy", runFig4},
+        {"fig5", "Fig. 5: DRAM access queue occupancy", runFig5},
+        {"sec4", "Sec. IV-B1: DRAM bandwidth efficiency", runSec4},
+        {"fig7", "Fig. 7: issue-stall distribution", runFig7},
+        {"fig8", "Fig. 8: L2 stall distribution", runFig8},
+        {"fig9", "Fig. 9: L1 stall distribution", runFig9},
         {"sec6", "Sec. VI: hierarchy mitigations (bandwidth + speedup)",
-         "bench_sec6_mitigations", runSec6},
-        {"tab3", "Table III: consolidated design space",
-         "bench_tab03_design_space", runTab3},
-        {"fig10", "Fig. 10: 4x bandwidth scaling",
-         "bench_fig10_dse_scaling", runFig10},
-        {"fig11", "Fig. 11: core-frequency sweep",
-         "bench_fig11_freq_sweep", runFig11},
-        {"fig12", "Fig. 12: cost-effective configurations",
-         "bench_fig12_cost_effective", runFig12},
-        {"sec7", "Sec. VII: area overhead of cost-effective configs",
-         "bench_sec7_area_overhead", runSec7},
-        {"ablation", "Each Table III knob alone at 4x",
-         "bench_ablation_knobs", runAblation},
+         runSec6},
+        {"tab3", "Table III: consolidated design space", runTab3},
+        {"fig10", "Fig. 10: 4x bandwidth scaling", runFig10},
+        {"fig11", "Fig. 11: core-frequency sweep", runFig11},
+        {"fig12", "Fig. 12: cost-effective configurations", runFig12},
+        {"sec7", "Sec. VII: area overhead of cost-effective configs", runSec7},
+        {"ablation", "Each Table III knob alone at 4x", runAblation},
     };
     return registry;
 }
@@ -1148,13 +1165,6 @@ runExperiment(const std::string &name, const exp::ExperimentOptions &opts,
 }
 
 int
-runExperimentFromEnv(const std::string &name)
-{
-    return runExperiment(name, exp::ExperimentOptions::fromEnv(),
-                         std::cout, std::cerr);
-}
-
-int
 cliMain(int argc, const char *const *argv, std::ostream &out,
         std::ostream &err)
 {
@@ -1176,7 +1186,6 @@ cliMain(int argc, const char *const *argv, std::ostream &out,
     exp::ExperimentOptions opts = exp::ExperimentOptions::fromEnv();
     std::vector<std::string> names;
     bool exec_stats = false;
-    bool backend_flag = false;
     bool worker = false;
     bool cache_stats = false;
     bool dump_stats = false;
@@ -1217,11 +1226,19 @@ cliMain(int argc, const char *const *argv, std::ostream &out,
             if (!parseIntFlag("--threads", valueOf("--threads="),
                               opts.threads))
                 return 1;
+            if (opts.threads < 0) {
+                err << "bwsim: --threads must be >= 0 (0 = hardware "
+                       "concurrency)\n";
+                return 1;
+            }
         } else if (a.rfind("--shrink=", 0) == 0) {
             if (!parseIntFlag("--shrink", valueOf("--shrink="),
                               opts.shrink))
                 return 1;
-            opts.shrink = std::max(1, opts.shrink);
+            if (opts.shrink < 1) {
+                err << "bwsim: --shrink must be >= 1\n";
+                return 1;
+            }
         } else if (a.rfind("--format=", 0) == 0) {
             if (!exp::parseTableFormat(valueOf("--format="),
                                        opts.format)) {
@@ -1234,17 +1251,6 @@ cliMain(int argc, const char *const *argv, std::ostream &out,
         } else if (a.rfind("--jobs=", 0) == 0) {
             if (!parseIntFlag("--jobs", valueOf("--jobs="), opts.jobs))
                 return 1;
-        } else if (a.rfind("--shards=", 0) == 0) {
-            if (!parseIntFlag("--shards", valueOf("--shards="),
-                              opts.shards))
-                return 1;
-        } else if (a.rfind("--shard-id=", 0) == 0) {
-            if (!parseIntFlag("--shard-id", valueOf("--shard-id="),
-                              opts.shardId))
-                return 1;
-        } else if (a.rfind("--backend=", 0) == 0) {
-            opts.backend = valueOf("--backend=");
-            backend_flag = true;
         } else if (a.rfind("--spool-dir=", 0) == 0) {
             opts.spoolDir = valueOf("--spool-dir=");
         } else if (a.rfind("--job-timeout=", 0) == 0) {
@@ -1293,60 +1299,20 @@ cliMain(int argc, const char *const *argv, std::ostream &out,
         }
     }
 
-    if (opts.shards < 1) {
-        err << "bwsim: --shards must be >= 1\n";
-        return 1;
-    }
-    if (opts.shardId < 0 || opts.shardId >= opts.shards) {
-        err << "bwsim: --shard-id must be in [0, --shards)\n";
-        return 1;
-    }
     if (opts.jobs < 1) {
         err << "bwsim: --jobs must be >= 1\n";
         return 1;
     }
-    if (opts.jobs > 1 && opts.shards > 1) {
-        err << "bwsim: --jobs (parent fan-out) and --shards/--shard-id "
-               "(worker identity) are mutually exclusive\n";
-        return 1;
-    }
-    if (opts.shards > 1 && opts.cacheDir.empty()) {
-        err << "bwsim: --shards requires --cache-dir (workers publish "
-               "their results there)\n";
-        return 1;
-    }
-    if (opts.backend != "threads" && opts.backend != "jobs" &&
-        opts.backend != "queue") {
-        err << "bwsim: --backend expects threads, jobs or queue, got '"
-            << opts.backend << "'\n";
-        return 1;
-    }
-    if (opts.backend == "queue") {
-        if (opts.spoolDir.empty()) {
-            err << "bwsim: --backend=queue requires --spool-dir\n";
-            return 1;
-        }
-        if (opts.jobs > 1 || opts.shards > 1) {
-            err << "bwsim: --backend=queue is incompatible with "
-                   "--jobs/--shards (workers come from bwsim "
-                   "--worker)\n";
-            return 1;
-        }
-    }
-    if (opts.backend == "jobs" && opts.jobs < 2) {
-        err << "bwsim: --backend=jobs requires --jobs=N with N >= 2\n";
-        return 1;
-    }
-    if (backend_flag && opts.backend == "threads" && opts.jobs > 1) {
-        err << "bwsim: --backend=threads contradicts --jobs=N (the "
-               "fork fan-out is --backend=jobs)\n";
+    if (opts.jobs > 1 && !opts.spoolDir.empty()) {
+        err << "bwsim: --jobs and --spool-dir cannot be combined (--jobs "
+               "runs its workers on a private spool)\n";
         return 1;
     }
     if (opts.jobTimeoutSec < 1) {
         err << "bwsim: --job-timeout must be >= 1\n";
         return 1;
     }
-    if (opts.backend == "queue" &&
+    if ((opts.jobs > 1 || !opts.spoolDir.empty()) &&
         opts.jobTimeoutSec < 2 * kDefaultClaimHeartbeatSec) {
         // Workers refresh their claim every kDefaultClaimHeartbeatSec;
         // a timeout inside that window reclaims live jobs.
@@ -1382,10 +1348,9 @@ cliMain(int argc, const char *const *argv, std::ostream &out,
                    "not tables; --format does not apply\n";
             return 1;
         }
-        if (opts.jobs > 1 || opts.shards > 1 ||
-            (backend_flag && opts.backend != "threads")) {
+        if (opts.jobs > 1 || !opts.spoolDir.empty()) {
             err << "bwsim: --dump-stats simulates in-process; "
-                   "--jobs/--shards/--backend do not apply\n";
+                   "--jobs/--spool-dir do not apply\n";
             return 1;
         }
         int dump_rc = runDumpStats(opts, config_name, out, err);
@@ -1446,31 +1411,9 @@ cliMain(int argc, const char *const *argv, std::ostream &out,
         err << "bwsim: --jobs is only supported on unix hosts\n";
         return 1;
 #endif
-    } else if (opts.shards > 1) {
-        // Worker mode: simulate this shard's share into the shared
-        // cache directory; tables come from the merge pass.
-        std::ostringstream sink;
-        for (const auto &n : names) {
-            rc = runExperiment(n, opts, sink, err);
-            if (rc)
-                return rc;
-        }
-        // Diagnostics go to stderr like every other bwsim message;
-        // worker stdout stays empty (tables come from the merge pass).
-        const SimCache &cache = SimCache::global();
-        err << csprintf(
-            "bwsim: shard %d/%d: sims=%llu disk-hits=%llu "
-            "skipped=%llu\n",
-            opts.shardId, opts.shards,
-            static_cast<unsigned long long>(cache.simsRun()),
-            static_cast<unsigned long long>(cache.diskHits()),
-            static_cast<unsigned long long>(cache.skipped()));
     } else {
-        for (std::size_t i = 0; i < names.size() && rc == 0; ++i) {
-            if (i > 0)
-                out << "\n";
-            rc = runExperiment(names[i], opts, out, err);
-        }
+        exp::configureExecution(opts);
+        printExperiments(names, opts, out);
     }
 
     if (rc == 0 && cache_stats)

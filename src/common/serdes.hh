@@ -2,8 +2,8 @@
  * @file
  * Minimal binary serialization primitives: a bounds-checked
  * little-endian ByteWriter/ByteReader pair plus FNV-1a hashing.
- * Shared by the on-disk SimCache tier and the sharded-sweep result
- * files so every persisted SimResult uses one byte format.
+ * Shared by the on-disk SimCache tier and the work-queue job and
+ * reply files so every persisted SimResult uses one byte format.
  *
  * The format is deliberately simple: fixed-width little-endian
  * integers, doubles as their IEEE-754 bit pattern, strings and blobs
@@ -23,7 +23,7 @@
 namespace bwsim
 {
 
-/** FNV-1a 64-bit hash; content checksums and shard assignment. */
+/** FNV-1a 64-bit hash; content checksums and spool file names. */
 inline std::uint64_t
 fnv1a64(const void *data, std::size_t len)
 {

@@ -3,8 +3,8 @@
  * DiskSimCache: the persistent on-disk tier behind SimCache, keyed by
  * the same cacheKey() strings as the in-memory tier. One file per
  * (profile, config) pair under a --cache-dir directory, so repeated
- * driver invocations -- and the shard workers of a multi-process
- * sweep sharing one directory -- skip warm simulations entirely.
+ * driver invocations -- and the work-queue workers of a sweep
+ * sharing one directory -- skip warm simulations entirely.
  *
  * File format (common/serdes.hh, little-endian):
  *

@@ -208,16 +208,18 @@ ExperimentOptions::fromEnv()
     if (const char *t = std::getenv("BWSIM_THREADS")) {
         if (!parseInt(t, o.threads))
             fatal("BWSIM_THREADS expects an integer, got '%s'", t);
+        if (o.threads < 0)
+            fatal("BWSIM_THREADS must be >= 0 (0 = hardware "
+                  "concurrency), got '%s'", t);
     }
     if (const char *s = std::getenv("BWSIM_SHRINK")) {
         if (!parseInt(s, o.shrink))
             fatal("BWSIM_SHRINK expects an integer, got '%s'", s);
-        o.shrink = std::max(1, o.shrink);
+        if (o.shrink < 1)
+            fatal("BWSIM_SHRINK must be >= 1, got '%s'", s);
     }
     if (const char *d = std::getenv("BWSIM_CACHE_DIR"))
         o.cacheDir = d;
-    if (const char *s = std::getenv("BWSIM_SPOOL_DIR"))
-        o.spoolDir = s;
     return o;
 }
 
@@ -252,21 +254,20 @@ setExecutionBackend(std::unique_ptr<ExecutionBackend> backend)
 }
 
 void
-configureExecution(const ExperimentOptions &opts)
+configureExecution(const ExperimentOptions &opts,
+                   std::function<bool()> workers_alive)
 {
     SimCache &cache = SimCache::global();
     cache.attachDiskTier(opts.cacheDir);
-    cache.setShardPolicy({opts.shards, opts.shardId});
-    if (opts.backend == "queue" && !opts.spoolDir.empty()) {
-        // Cache misses become spool job files drained by external
-        // bwsim --worker processes; everything above the SimCache is
-        // unchanged, so the merged tables are byte-identical to an
-        // in-process run.
+    if (!opts.spoolDir.empty()) {
+        // Cache misses become spool job files drained by worker
+        // processes; everything above the SimCache is unchanged, so
+        // the merged tables are byte-identical to an in-process run.
         WorkQueueConfig cfg;
         cfg.spoolDir = opts.spoolDir;
         cfg.jobTimeoutSec = static_cast<double>(opts.jobTimeoutSec);
-        cache.setSimulationBackend(
-            std::make_shared<WorkQueueBackend>(std::move(cfg)));
+        cache.setSimulationBackend(std::make_shared<WorkQueueBackend>(
+            std::move(cfg), std::move(workers_alive)));
     } else {
         cache.setSimulationBackend(nullptr); // default threaded pool
     }

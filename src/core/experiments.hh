@@ -9,6 +9,7 @@
 #ifndef BWSIM_CORE_EXPERIMENTS_HH
 #define BWSIM_CORE_EXPERIMENTS_HH
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -48,17 +49,11 @@ struct ExperimentOptions
     int shrink = 1;
     /** Persistent SimCache tier directory; empty = memory only. */
     std::string cacheDir;
-    /** Sharded-sweep worker identity: simulate only the keys hashing
-     *  to shardId of shards (shards == 1 disables filtering). */
-    int shards = 1;
-    int shardId = 0;
-    /** Parent fan-out: fork this many shard workers (CLI only). */
+    /** Local fan-out: fork this many work-queue workers on a private
+     *  spool (CLI only; 1 = run in-process). */
     int jobs = 1;
-    /** How cache misses execute: "threads" (in-process pool),
-     *  "jobs" (forked shard workers), or "queue" (spool-dir work
-     *  queue drained by external bwsim --worker processes). */
-    std::string backend = "threads";
-    /** Work-queue spool directory (backend == "queue"). */
+    /** Work-queue spool directory: when set, cache misses become job
+     *  files drained by bwsim --worker processes. */
     std::string spoolDir;
     /** Claimed-but-abandoned jobs are reclaimed after this long. */
     int jobTimeoutSec = 300;
@@ -67,9 +62,9 @@ struct ExperimentOptions
 
     /**
      * Read BWSIM_BENCHES / BWSIM_THREADS / BWSIM_SHRINK /
-     * BWSIM_CACHE_DIR / BWSIM_SPOOL_DIR. Malformed integers are
-     * rejected with the same strict fatal() the CLI flags use, never
-     * silently defaulted.
+     * BWSIM_CACHE_DIR. Malformed integers, a negative thread count and
+     * a shrink below 1 are rejected with the same strict fatal() the
+     * CLI flags use, never silently defaulted or clamped.
      */
     static ExperimentOptions fromEnv();
 };
@@ -115,11 +110,14 @@ void setExecutionBackend(std::unique_ptr<ExecutionBackend> backend);
 
 /**
  * Apply the execution-related knobs of @p opts to the process-wide
- * SimCache: attach/detach the on-disk tier (opts.cacheDir) and set
- * the shard policy (opts.shards / opts.shardId). Idempotent; called
- * by the CLI before running each batch of experiments.
+ * SimCache: attach/detach the on-disk tier (opts.cacheDir) and route
+ * misses to the work queue on opts.spoolDir, or to the in-process
+ * thread pool when it is empty. @p workers_alive is the queue's
+ * liveness check (see WorkQueueBackend). Idempotent; called by the
+ * CLI before running each batch of experiments.
  */
-void configureExecution(const ExperimentOptions &opts);
+void configureExecution(const ExperimentOptions &opts,
+                        std::function<bool()> workers_alive = {});
 
 /** One baseline run per benchmark; reused by several figures. */
 std::vector<SimResult> baselineResults(const ExperimentOptions &opts);

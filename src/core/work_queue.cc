@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <filesystem>
+#include <stdexcept>
 #include <system_error>
 #include <thread>
 
@@ -399,10 +400,19 @@ WorkQueueBackend::runAll(const std::vector<RunSpec> &specs, int threads)
     while (!queue.done()) {
         if (queue.poll() > 0) {
             waited = 0.0;
+        } else if (workersAlive && !workersAlive()) {
+            // A reply may have landed between the poll and the check.
+            queue.poll();
+            if (!queue.done())
+                throw std::runtime_error(csprintf(
+                    "spool '%s': workers exited with jobs still pending",
+                    cfg.spoolDir.c_str()));
         } else {
             sleepSeconds(cfg.pollIntervalSec);
             waited += cfg.pollIntervalSec;
-            if (!warned_idle && waited > 30.0) {
+            // With a liveness check, a silent spool just means long
+            // simulations; the hint is for external fleets.
+            if (!workersAlive && !warned_idle && waited > 30.0) {
                 warned_idle = true;
                 warn("spool '%s': no replies for %.0fs; are any "
                      "`bwsim --worker --spool-dir=%s` processes "

@@ -1,9 +1,11 @@
 /**
  * @file
- * Distributed work-queue execution: (workload, config) work units as
- * serialized job files in a shared spool directory, drained by any
- * number of `bwsim --worker` processes on any number of hosts that
- * share a filesystem.
+ * Work-queue execution: (workload, config) work units as serialized
+ * job files in a spool directory, drained by worker processes. It is
+ * bwsim's one way to fan a sweep out: --jobs=N forks N local workers
+ * on a private spool, and --spool-dir=DIR sends the misses to
+ * `bwsim --worker` processes on any hosts that share DIR's
+ * filesystem.
  *
  * Spool layout (all files published via write-then-rename):
  *
@@ -26,11 +28,10 @@
  * loaded as garbage.
  *
  * The parent side is WorkQueueBackend, an ExecutionBackend that the
- * CLI installs behind the global SimCache for --backend=queue: cache
- * misses become job files, and the collected replies merge into
- * tables byte-identical to a single-process --backend=threads run
- * (simulations are deterministic and SimResult serialization is
- * bit-exact).
+ * CLI installs behind the global SimCache for --jobs and --spool-dir:
+ * cache misses become job files, and the collected replies merge into
+ * tables byte-identical to a single-process run (simulations are
+ * deterministic and SimResult serialization is bit-exact).
  */
 
 #ifndef BWSIM_CORE_WORK_QUEUE_HH
@@ -38,6 +39,7 @@
 
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -206,14 +208,23 @@ class WorkQueue
 
 /**
  * ExecutionBackend over a WorkQueue: runAll() dispatches every spec
- * and blocks polling until external workers have replied to all of
- * them. @p threads is ignored -- parallelism is however many workers
- * drain the spool.
+ * and blocks polling until workers have replied to all of them.
+ * @p threads is ignored -- parallelism is however many workers drain
+ * the spool.
+ *
+ * @p workers_alive, when given, is asked whenever a poll pass makes
+ * no progress. Once it returns false, runAll() collects any last
+ * replies and throws std::runtime_error if jobs are still pending,
+ * instead of polling forever. The --jobs parent passes a check on its
+ * forked workers; external --worker fleets have none, since new
+ * workers may join at any time.
  */
 class WorkQueueBackend : public ExecutionBackend
 {
   public:
-    explicit WorkQueueBackend(WorkQueueConfig cfg) : cfg(std::move(cfg))
+    explicit WorkQueueBackend(WorkQueueConfig cfg,
+                              std::function<bool()> workers_alive = {})
+        : cfg(std::move(cfg)), workersAlive(std::move(workers_alive))
     {
     }
 
@@ -224,9 +235,10 @@ class WorkQueueBackend : public ExecutionBackend
 
   private:
     WorkQueueConfig cfg;
+    std::function<bool()> workersAlive;
 };
 
-/** @name Worker side (bwsim --worker --spool-dir=DIR) */
+/** @name Worker side (bwsim --worker, and each --jobs child) */
 /**@{*/
 struct WorkerStats
 {

@@ -37,7 +37,7 @@ decodeCanonicalRecords(const std::string &canon,
             return false;
         out[i].op = op ? Op::Store : Op::Load;
         out[i].addr = r.u64();
-        out[i].cta = static_cast<std::int32_t>(r.u32()) - 1;
+        out[i].cta = static_cast<std::int32_t>(r.u32() - 1u);
     }
     return r.ok();
 }

@@ -1,6 +1,7 @@
 #include "workloads/workload_spec.hh"
 
 #include <algorithm>
+#include <climits>
 
 #include "common/key_builder.hh"
 #include "common/log.hh"
@@ -19,7 +20,7 @@ canonicalTraceBytes(const TraceData &t)
         w.u8(r.op == Op::Store ? 1 : 0);
         w.u64(r.addr);
         // -1 (untagged) encodes as 0 so tagged/untagged never collide.
-        w.u32(static_cast<std::uint32_t>(r.cta + 1));
+        w.u32(static_cast<std::uint32_t>(r.cta) + 1u);
     }
     return std::move(w).take();
 }
@@ -111,15 +112,19 @@ makeGeneratorWorkload(const GeneratorParams &gen, const std::string &name)
 namespace
 {
 
-/** Parse "64", "8k", "2m", "1g" (case-insensitive suffixes). */
-bool
-parseSizeArg(const std::string &s, std::uint64_t &out)
+/**
+ * Parse size @p arg ("64", "8k", "2m", "1g"; case-insensitive
+ * suffixes), the @p what of generator @p form, or fatal() with a
+ * message naming the form: on malformed digits and on a value whose
+ * digits or suffix multiply overflow 64 bits.
+ */
+std::uint64_t
+sizeArgOrDie(const std::string &form, const char *what,
+             const std::string &arg)
 {
-    if (s.empty())
-        return false;
     std::uint64_t mult = 1;
-    std::string digits = s;
-    const char suffix = s.back();
+    std::string digits = arg;
+    const char suffix = arg.empty() ? '\0' : arg.back();
     if (suffix == 'k' || suffix == 'K')
         mult = 1024;
     else if (suffix == 'm' || suffix == 'M')
@@ -128,16 +133,37 @@ parseSizeArg(const std::string &s, std::uint64_t &out)
         mult = 1024ull * 1024 * 1024;
     if (mult != 1)
         digits.pop_back();
-    if (digits.empty())
-        return false;
+    if (digits.empty() ||
+        digits.find_first_not_of("0123456789") != std::string::npos)
+        fatal("generator '%s': malformed %s '%s' (want a size like 128, "
+              "8k, 2m or 1g)",
+              form.c_str(), what, arg.c_str());
+    constexpr std::uint64_t kMax = ~std::uint64_t(0);
     std::uint64_t v = 0;
     for (char c : digits) {
-        if (c < '0' || c > '9')
-            return false;
-        v = v * 10 + static_cast<std::uint64_t>(c - '0');
+        const auto d = static_cast<std::uint64_t>(c - '0');
+        if (v > (kMax - d) / 10)
+            fatal("generator '%s': %s '%s' overflows 64 bits",
+                  form.c_str(), what, arg.c_str());
+        v = v * 10 + d;
     }
-    out = v * mult;
-    return true;
+    if (v > kMax / mult)
+        fatal("generator '%s': %s '%s' overflows 64 bits", form.c_str(),
+              what, arg.c_str());
+    return v * mult;
+}
+
+/** Region size @p arg of @p form: at least one cache line. */
+std::uint64_t
+regionArgOrDie(const std::string &form, const std::string &arg)
+{
+    const std::uint64_t bytes = sizeArgOrDie(form, "region", arg);
+    if (bytes < kMinGeneratorRegionBytes)
+        fatal("generator '%s': region '%s' is smaller than one %llu-byte "
+              "cache line",
+              form.c_str(), arg.c_str(),
+              static_cast<unsigned long long>(kMinGeneratorRegionBytes));
+    return bytes;
 }
 
 } // anonymous namespace
@@ -160,14 +186,14 @@ parseGeneratorForm(const std::string &form, WorkloadSpec &out)
         gen.kind = GenKind::PointerChase;
         gen.regionBytes = 8 * 1024;
         gen.insts = 2000;
-        if (parts.size() > 1 && !parseSizeArg(parts[1], gen.regionBytes))
-            fatal("malformed pchase region '%s' (want pchase[:REGION"
-                  "[:INSTS]], sizes like 8k/2m)",
-                  parts[1].c_str());
+        if (parts.size() > 1)
+            gen.regionBytes = regionArgOrDie(form, parts[1]);
         if (parts.size() > 2) {
-            std::uint64_t insts = 0;
-            if (!parseSizeArg(parts[2], insts) || insts == 0)
-                fatal("malformed pchase insts '%s'", parts[2].c_str());
+            const std::uint64_t insts =
+                sizeArgOrDie(form, "insts", parts[2]);
+            if (insts == 0 || insts > INT_MAX)
+                fatal("generator '%s': insts '%s' must be in [1, %d]",
+                      form.c_str(), parts[2].c_str(), INT_MAX);
             gen.insts = static_cast<int>(insts);
         }
         if (parts.size() > 3)
@@ -177,16 +203,14 @@ parseGeneratorForm(const std::string &form, WorkloadSpec &out)
         gen.strideBytes = 128;
         gen.regionBytes = 256ull * 1024 * 1024;
         gen.insts = 512;
-        if (parts.size() > 1 &&
-            (!parseSizeArg(parts[1], gen.strideBytes) ||
-             gen.strideBytes == 0))
-            fatal("malformed stride '%s' (want stride[:STRIDE"
-                  "[:REGION]], sizes like 128/1k)",
-                  parts[1].c_str());
-        if (parts.size() > 2 &&
-            (!parseSizeArg(parts[2], gen.regionBytes) ||
-             gen.regionBytes == 0))
-            fatal("malformed stride region '%s'", parts[2].c_str());
+        if (parts.size() > 1) {
+            gen.strideBytes = sizeArgOrDie(form, "stride", parts[1]);
+            if (gen.strideBytes == 0)
+                fatal("generator '%s': stride must be at least 1 byte",
+                      form.c_str());
+        }
+        if (parts.size() > 2)
+            gen.regionBytes = regionArgOrDie(form, parts[2]);
         if (parts.size() > 3)
             fatal("too many stride parameters in '%s'", form.c_str());
     } else {
@@ -271,7 +295,7 @@ deserializeWorkload(ByteReader &r, WorkloadSpec &out)
                 return false;
             rec.op = op ? Op::Store : Op::Load;
             rec.addr = rr.u64();
-            rec.cta = static_cast<std::int32_t>(rr.u32()) - 1;
+            rec.cta = static_cast<std::int32_t>(rr.u32() - 1u);
         }
         sealTrace(*t);
         // The frame checksum guards the bytes; this guards the

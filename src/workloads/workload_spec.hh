@@ -99,6 +99,10 @@ struct GeneratorParams
     int insts = 2000;
 };
 
+/** Smallest region a generator form accepts: one cache line of the
+ *  baseline config (GpuConfig::lineBytes). */
+constexpr std::uint64_t kMinGeneratorRegionBytes = 128;
+
 struct WorkloadSpec
 {
     WorkloadKind kind = WorkloadKind::Synthetic;
@@ -149,7 +153,9 @@ WorkloadSpec makeGeneratorWorkload(const GeneratorParams &gen,
  * Sizes accept k/m/g suffixes ("pchase:8k"). True only for a
  * well-formed generator form; a plain benchmark name returns false.
  * A recognized generator name with malformed parameters is fatal()
- * (it could never be a suite benchmark).
+ * (it could never be a suite benchmark), and so is a size past 64
+ * bits, INSTS above INT_MAX, a zero STRIDE or INSTS, or a REGION
+ * below kMinGeneratorRegionBytes.
  */
 bool parseGeneratorForm(const std::string &form, WorkloadSpec &out);
 

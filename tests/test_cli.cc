@@ -1,16 +1,22 @@
 /**
  * @file
- * bwsim CLI tests: registry completeness, --list, option parsing, and
- * parity between `bwsim <name>` and the legacy env-driven bench path.
+ * bwsim CLI tests: registry completeness, --list, option parsing,
+ * parity between `bwsim <name>` and runExperiment(), and the --jobs /
+ * --spool-dir fan-out printing the in-process tables.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <sstream>
+#include <thread>
 #include <vector>
 
 #include "cli/cli.hh"
+#include "core/sim_cache.hh"
+#include "core/work_queue.hh"
 #include "sim/tick_profile.hh"
 
 using namespace bwsim;
@@ -41,7 +47,6 @@ TEST(Cli, RegistryCoversEveryLegacyBench)
     EXPECT_EQ(reg.size(), 17u);
     for (const auto &e : reg) {
         EXPECT_FALSE(e.name.empty());
-        EXPECT_FALSE(e.legacy.empty());
         EXPECT_TRUE(bool(e.run)) << e.name;
         EXPECT_EQ(cli::findExperiment(e.name), &e);
     }
@@ -52,10 +57,8 @@ TEST(Cli, ListNamesEveryRegisteredExperiment)
 {
     std::string out, err;
     ASSERT_EQ(runCli({"--list"}, out, err), 0);
-    for (const auto &e : cli::experimentRegistry()) {
+    for (const auto &e : cli::experimentRegistry())
         EXPECT_NE(out.find(e.name), std::string::npos) << e.name;
-        EXPECT_NE(out.find(e.legacy), std::string::npos) << e.legacy;
-    }
     EXPECT_TRUE(err.empty());
 }
 
@@ -103,16 +106,15 @@ TEST(Cli, StaticTablesRunWithoutSimulation)
 
 TEST(Cli, FlagOutputMatchesLegacyEnvDrivenPath)
 {
-    // The legacy bench binaries call runExperiment() with env-derived
-    // options; for a static experiment both paths must print the same
-    // bytes.
-    std::ostringstream legacy, err;
-    ASSERT_EQ(cli::runExperiment("tab3", exp::ExperimentOptions{}, legacy,
+    // runExperiment() with explicit options and the argv driver must
+    // print the same bytes for a static experiment.
+    std::ostringstream direct, err;
+    ASSERT_EQ(cli::runExperiment("tab3", exp::ExperimentOptions{}, direct,
                                  err),
               0);
     std::string out, err_s;
     ASSERT_EQ(runCli({"tab3"}, out, err_s), 0);
-    EXPECT_EQ(out, legacy.str());
+    EXPECT_EQ(out, direct.str());
 }
 
 TEST(Cli, MultipleExperimentsSeparatedByBlankLine)
@@ -216,10 +218,9 @@ TEST(Cli, DumpStatsOptionsValidated)
     EXPECT_NE(runCli({"--dump-stats", "--jobs=4"}, out, err), 0);
     EXPECT_NE(err.find("--jobs"), std::string::npos);
     err.clear();
-    EXPECT_NE(runCli({"--dump-stats", "--backend=queue",
-                      "--spool-dir=/tmp/x"},
-                     out, err),
+    EXPECT_NE(runCli({"--dump-stats", "--spool-dir=/tmp/x"}, out, err),
               0);
+    EXPECT_NE(err.find("--spool-dir"), std::string::npos);
 }
 
 TEST(Cli, DumpStatsPrintsTheTree)
@@ -295,79 +296,74 @@ TEST(Cli, UsageMentionsTheTickProfileFlag)
     EXPECT_NE(out.find("--profile-ticks"), std::string::npos);
 }
 
-TEST(Cli, ShardOptionsValidated)
+TEST(Cli, JobsOptionsValidated)
 {
     std::string out, err;
-    // --shards without a cache dir: the workers' results would be
-    // unreachable.
-    EXPECT_NE(runCli({"tab1", "--shards=2"}, out, err), 0);
-    EXPECT_NE(err.find("--cache-dir"), std::string::npos);
-
-    err.clear();
-    EXPECT_NE(runCli({"tab1", "--shards=0"}, out, err), 0);
-    EXPECT_NE(err.find("--shards"), std::string::npos);
-
-    err.clear();
-    EXPECT_NE(runCli({"tab1", "--shards=2", "--shard-id=2",
-                      "--cache-dir=/tmp/x"},
-                     out, err),
-              0);
-    EXPECT_NE(err.find("--shard-id"), std::string::npos);
-
-    err.clear();
-    EXPECT_NE(runCli({"tab1", "--jobs=2", "--shards=2",
-                      "--cache-dir=/tmp/x"},
-                     out, err),
-              0);
-    EXPECT_NE(err.find("mutually exclusive"), std::string::npos);
-
-    err.clear();
     EXPECT_NE(runCli({"tab1", "--jobs=0"}, out, err), 0);
     EXPECT_NE(err.find("--jobs"), std::string::npos);
+
+    // --jobs makes its own spool; a second one is a contradiction.
+    err.clear();
+    EXPECT_NE(runCli({"tab1", "--jobs=2", "--spool-dir=/tmp/s"}, out,
+                     err),
+              0);
+    EXPECT_NE(err.find("cannot be combined"), std::string::npos);
+
+    err.clear();
+    EXPECT_NE(runCli({"tab1", "--job-timeout=0"}, out, err), 0);
+    EXPECT_NE(err.find("--job-timeout"), std::string::npos);
+}
+
+TEST(Cli, RemovedFanOutFlagsAreUnknownOptions)
+{
+    // The fan-out flags are --jobs and --spool-dir; these are not.
+    for (const char *flag :
+         {"--shards=2", "--shard-id=0", "--backend=queue"}) {
+        std::string out, err;
+        EXPECT_NE(runCli({"tab1", flag}, out, err), 0) << flag;
+        EXPECT_NE(err.find("unknown option"), std::string::npos) << flag;
+    }
+}
+
+TEST(Cli, ShrinkAndThreadsRejectedOutOfRange)
+{
+    std::string out, err;
+    for (const char *flag : {"--shrink=0", "--shrink=-3"}) {
+        err.clear();
+        EXPECT_NE(runCli({"tab1", flag}, out, err), 0) << flag;
+        EXPECT_NE(err.find("--shrink must be >= 1"), std::string::npos)
+            << flag;
+    }
+    err.clear();
+    EXPECT_NE(runCli({"tab1", "--threads=-1"}, out, err), 0);
+    EXPECT_NE(err.find("--threads must be >= 0"), std::string::npos);
+    // 0 still means hardware concurrency.
+    EXPECT_EQ(runCli({"tab1", "--threads=0"}, out, err), 0);
+
+    // The environment gets the same checks, before any flag is read.
+    EXPECT_EXIT(
+        {
+            ::setenv("BWSIM_SHRINK", "0", 1);
+            runCli({"tab1"}, out, err);
+            std::exit(0);
+        },
+        ::testing::ExitedWithCode(1), "BWSIM_SHRINK must be >= 1");
+    EXPECT_EXIT(
+        {
+            ::setenv("BWSIM_THREADS", "-2", 1);
+            runCli({"tab1"}, out, err);
+            std::exit(0);
+        },
+        ::testing::ExitedWithCode(1), "BWSIM_THREADS must be >= 0");
 }
 
 TEST(Cli, UsageMentionsTheExecutionFlags)
 {
     std::string out, err;
     ASSERT_EQ(runCli({"--help"}, out, err), 0);
-    for (const char *flag : {"--cache-dir", "--jobs", "--shards",
-                             "--shard-id", "--format", "--exec-stats"})
+    for (const char *flag :
+         {"--cache-dir", "--jobs", "--format", "--exec-stats"})
         EXPECT_NE(out.find(flag), std::string::npos) << flag;
-}
-
-TEST(Cli, BackendOptionsValidated)
-{
-    std::string out, err;
-    EXPECT_NE(runCli({"tab1", "--backend=carrier-pigeon"}, out, err), 0);
-    EXPECT_NE(err.find("--backend"), std::string::npos);
-
-    // queue without a spool: nowhere to put the jobs.
-    err.clear();
-    EXPECT_NE(runCli({"tab1", "--backend=queue"}, out, err), 0);
-    EXPECT_NE(err.find("--spool-dir"), std::string::npos);
-
-    // queue and the fork/shard modes are different scale-out paths.
-    err.clear();
-    EXPECT_NE(runCli({"tab1", "--backend=queue", "--spool-dir=/tmp/s",
-                      "--jobs=2"},
-                     out, err),
-              0);
-    EXPECT_NE(err.find("incompatible"), std::string::npos);
-
-    // jobs backend without a fan-out count is meaningless.
-    err.clear();
-    EXPECT_NE(runCli({"tab1", "--backend=jobs"}, out, err), 0);
-    EXPECT_NE(err.find("--jobs"), std::string::npos);
-
-    err.clear();
-    EXPECT_NE(runCli({"tab1", "--backend=threads", "--jobs=2"}, out,
-                     err),
-              0);
-    EXPECT_NE(err.find("contradicts"), std::string::npos);
-
-    err.clear();
-    EXPECT_NE(runCli({"tab1", "--job-timeout=0"}, out, err), 0);
-    EXPECT_NE(err.find("--job-timeout"), std::string::npos);
 }
 
 TEST(Cli, WorkerModeValidated)
@@ -418,41 +414,41 @@ TEST(Cli, UsageMentionsTheQueueFlags)
     std::string out, err;
     ASSERT_EQ(runCli({"--help"}, out, err), 0);
     for (const char *flag :
-         {"--backend", "--spool-dir", "--job-timeout", "--worker",
-          "--cache-stats", "--cache-max-mb"})
+         {"--spool-dir", "--job-timeout", "--worker", "--cache-stats",
+          "--cache-max-mb"})
         EXPECT_NE(out.find(flag), std::string::npos) << flag;
 }
 
 #ifdef __unix__
-TEST(Cli, ScratchCacheDirTemplateHonorsTmpdir)
+TEST(Cli, ScratchSpoolDirTemplateHonorsTmpdir)
 {
     // Save and restore whatever the harness environment set.
     const char *saved = std::getenv("TMPDIR");
     const std::string saved_val = saved ? saved : "";
 
     ::setenv("TMPDIR", "/some/scratch", 1);
-    EXPECT_EQ(cli::scratchCacheDirTemplate(),
-              "/some/scratch/bwsim-cache-XXXXXX");
+    EXPECT_EQ(cli::scratchSpoolDirTemplate(),
+              "/some/scratch/bwsim-spool-XXXXXX");
 
     // Trailing slashes must not double the separator.
     ::setenv("TMPDIR", "/some/scratch///", 1);
-    EXPECT_EQ(cli::scratchCacheDirTemplate(),
-              "/some/scratch/bwsim-cache-XXXXXX");
+    EXPECT_EQ(cli::scratchSpoolDirTemplate(),
+              "/some/scratch/bwsim-spool-XXXXXX");
 
     // Unset or empty falls back to /tmp like mktemp(1).
     ::unsetenv("TMPDIR");
-    EXPECT_EQ(cli::scratchCacheDirTemplate(), "/tmp/bwsim-cache-XXXXXX");
+    EXPECT_EQ(cli::scratchSpoolDirTemplate(), "/tmp/bwsim-spool-XXXXXX");
     ::setenv("TMPDIR", "", 1);
-    EXPECT_EQ(cli::scratchCacheDirTemplate(), "/tmp/bwsim-cache-XXXXXX");
+    EXPECT_EQ(cli::scratchSpoolDirTemplate(), "/tmp/bwsim-spool-XXXXXX");
 
-    // The template actually works: mkdtemp() materializes the scratch
-    // dir inside the TMPDIR the user asked for.
+    // The template actually works: mkdtemp() materializes the spool
+    // inside the TMPDIR the user asked for.
     const std::string base = "/tmp/bwsim-tmpdir-test";
     std::filesystem::remove_all(base);
     std::filesystem::create_directories(base);
     ::setenv("TMPDIR", base.c_str(), 1);
-    std::string tmpl_str = cli::scratchCacheDirTemplate();
-    ASSERT_EQ(tmpl_str.rfind(base + "/bwsim-cache-", 0), 0u);
+    std::string tmpl_str = cli::scratchSpoolDirTemplate();
+    ASSERT_EQ(tmpl_str.rfind(base + "/bwsim-spool-", 0), 0u);
     std::vector<char> tmpl(tmpl_str.begin(), tmpl_str.end());
     tmpl.push_back('\0');
     ASSERT_NE(::mkdtemp(tmpl.data()), nullptr);
@@ -464,4 +460,113 @@ TEST(Cli, ScratchCacheDirTemplateHonorsTmpdir)
     else
         ::unsetenv("TMPDIR");
 }
+
+namespace
+{
+
+/** Sets TMPDIR to a fresh test-owned directory for one scope. */
+class ScopedTmpdir
+{
+  public:
+    explicit ScopedTmpdir(const std::string &name)
+        : dir(::testing::TempDir() + name)
+    {
+        const char *old = std::getenv("TMPDIR");
+        hadSaved = old != nullptr;
+        if (old)
+            saved = old;
+        std::filesystem::remove_all(dir);
+        std::filesystem::create_directories(dir);
+        ::setenv("TMPDIR", dir.c_str(), 1);
+    }
+
+    ~ScopedTmpdir()
+    {
+        if (hadSaved)
+            ::setenv("TMPDIR", saved.c_str(), 1);
+        else
+            ::unsetenv("TMPDIR");
+        std::filesystem::remove_all(dir);
+    }
+
+    const std::string dir;
+
+  private:
+    std::string saved;
+    bool hadSaved = false;
+};
+
+} // namespace
+
+TEST(Cli, JobsPrintsTheInProcessTablesAndLeavesNoSpool)
+{
+    const std::vector<const char *> sweep = {
+        "fig4", "--benches=bfs,lbm", "--shrink=16", "--threads=2"};
+    std::string single, err;
+    ASSERT_EQ(runCli(sweep, single, err), 0) << err;
+
+    ScopedTmpdir tmp("bwsim-cli-jobs-tmpdir");
+    const std::string cache_dir = tmp.dir + "-cache";
+    std::filesystem::remove_all(cache_dir);
+    const std::string cache_flag = "--cache-dir=" + cache_dir;
+    for (bool with_cache : {false, true}) {
+        // A cold parent cache, so the forked workers do the work.
+        SimCache::global().clear();
+        std::vector<const char *> args = sweep;
+        args.push_back("--jobs=2");
+        args.push_back("--exec-stats");
+        if (with_cache)
+            args.push_back(cache_flag.c_str());
+        std::string jobs;
+        ASSERT_EQ(runCli(args, jobs, err), 0) << err;
+        EXPECT_EQ(jobs, single) << "with_cache=" << with_cache;
+        EXPECT_NE(err.find("sims=2 "), std::string::npos) << err;
+        EXPECT_TRUE(std::filesystem::is_empty(tmp.dir))
+            << "the --jobs spool was left behind";
+    }
+    // The workers published to the shared cache dir: a warm rerun
+    // simulates nothing.
+    SimCache::global().clear();
+    std::vector<const char *> warm = sweep;
+    warm.push_back(cache_flag.c_str());
+    warm.push_back("--exec-stats");
+    std::string warm_out;
+    ASSERT_EQ(runCli(warm, warm_out, err), 0) << err;
+    EXPECT_EQ(warm_out, single);
+    EXPECT_NE(err.find("sims=0 "), std::string::npos) << err;
+    std::filesystem::remove_all(cache_dir);
+}
+
+TEST(Cli, SpoolDirSendsMissesToTheQueue)
+{
+    const std::vector<const char *> sweep = {"fig4", "--benches=bfs",
+                                             "--shrink=16"};
+    std::string single, err;
+    ASSERT_EQ(runCli(sweep, single, err), 0) << err;
+
+    const std::string spool = ::testing::TempDir() + "bwsim-cli-spool";
+    std::filesystem::remove_all(spool);
+    WorkQueueConfig cfg;
+    cfg.spoolDir = spool;
+    cfg.pollIntervalSec = 0.001;
+    SimCache worker_cache;
+    std::thread worker([&] { runWorker(cfg, worker_cache); });
+
+    SimCache::global().clear();
+    const std::string spool_flag = "--spool-dir=" + spool;
+    std::vector<const char *> args = sweep;
+    args.push_back(spool_flag.c_str());
+    std::string queued;
+    const int rc = runCli(args, queued, err);
+    std::ofstream(std::filesystem::path(spool) / "stop").close();
+    worker.join();
+
+    ASSERT_EQ(rc, 0) << err;
+    EXPECT_EQ(queued, single);
+    EXPECT_EQ(worker_cache.simsRun(), 1u) << "the miss did not reach "
+                                             "the worker";
+    exp::configureExecution(exp::ExperimentOptions{});
+    std::filesystem::remove_all(spool);
+}
+
 #endif // __unix__

@@ -232,13 +232,28 @@ TEST(Experiments, FromEnvRejectsMalformedIntegers)
             ::exit(0);
         },
         ::testing::ExitedWithCode(1), "BWSIM_SHRINK expects an integer");
+    // Well-formed but out of range: rejected, not clamped.
+    EXPECT_EXIT(
+        {
+            setenv("BWSIM_SHRINK", "0", 1);
+            (void)ExperimentOptions::fromEnv();
+            ::exit(0);
+        },
+        ::testing::ExitedWithCode(1), "BWSIM_SHRINK must be >= 1");
+    EXPECT_EXIT(
+        {
+            setenv("BWSIM_THREADS", "-1", 1);
+            (void)ExperimentOptions::fromEnv();
+            ::exit(0);
+        },
+        ::testing::ExitedWithCode(1), "BWSIM_THREADS must be >= 0");
 }
 
 TEST(Experiments, FromEnvReadsValidValues)
 {
     setenv("BWSIM_BENCHES", " mm , sc ", 1);
     setenv("BWSIM_THREADS", "3", 1);
-    setenv("BWSIM_SHRINK", "-2", 1); // valid integer: clamps like the CLI
+    setenv("BWSIM_SHRINK", "2", 1);
     setenv("BWSIM_CACHE_DIR", "/tmp/bwsim-env-cache", 1);
     ExperimentOptions o = ExperimentOptions::fromEnv();
     unsetenv("BWSIM_BENCHES");
@@ -250,7 +265,7 @@ TEST(Experiments, FromEnvReadsValidValues)
     EXPECT_EQ(o.benchmarks[0], "mm");
     EXPECT_EQ(o.benchmarks[1], "sc");
     EXPECT_EQ(o.threads, 3);
-    EXPECT_EQ(o.shrink, 1);
+    EXPECT_EQ(o.shrink, 2);
     EXPECT_EQ(o.cacheDir, "/tmp/bwsim-env-cache");
 }
 

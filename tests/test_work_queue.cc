@@ -3,8 +3,9 @@
  * Tests for the distributed work-queue backend (core/work_queue.*):
  * job/reply wire-format fidelity, end-to-end parity with the
  * in-process backend, and the crash-recovery paths -- a
- * claimed-but-abandoned job is reclaimed after the job timeout, and
- * a corrupt reply file is discarded and its job re-dispatched.
+ * claimed-but-abandoned job is reclaimed after the job timeout, a
+ * corrupt reply file is discarded and its job re-dispatched, and a
+ * parent whose workers are gone fails instead of polling forever.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <stdexcept>
 #include <thread>
 
 #include "core/sim_cache.hh"
@@ -481,4 +483,50 @@ TEST(WorkQueueBackend, RunAllThroughSimCacheGlobalShape)
     // simsRun() counts what went through the simulation backend --
     // here, jobs executed remotely on the worker's behalf.
     EXPECT_EQ(parent.simsRun(), 3u);
+}
+
+TEST(WorkQueueBackend, FailsOnceTheWorkersAreGone)
+{
+    // Nothing ever drains this spool; a liveness check reporting no
+    // workers must turn the endless poll into an error.
+    const std::string spool = freshSpool("no-workers");
+    int checks = 0;
+    WorkQueueBackend backend(quickQueueConfig(spool), [&checks] {
+        ++checks;
+        return false;
+    });
+    EXPECT_THROW(backend.runAll(quickSpecs()), std::runtime_error);
+    EXPECT_GE(checks, 1);
+
+    // Through a SimCache the failure releases the claimed keys, so a
+    // later batch can still resolve them.
+    SimCache cache;
+    cache.setSimulationBackend(std::make_shared<WorkQueueBackend>(
+        quickQueueConfig(freshSpool("no-workers-cache")),
+        [] { return false; }));
+    EXPECT_THROW(cache.runAll(quickSpecs(), 1), std::runtime_error);
+    cache.setSimulationBackend(nullptr);
+    EXPECT_EQ(cache.runAll(quickSpecs(), 1).size(), 3u);
+    EXPECT_EQ(cache.simsRun(), 3u);
+}
+
+TEST(WorkQueueBackend, RepliesFromWorkersThatThenExitStillCount)
+{
+    // The last worker replies to every job and exits between two poll
+    // passes: the liveness check fails, but the replies are there.
+    const std::string spool = freshSpool("late-replies");
+    SimCache worker_cache;
+    WorkQueueBackend backend(quickQueueConfig(spool), [&] {
+        while (workerProcessOneJob(spool, worker_cache)) {
+        }
+        return false;
+    });
+    const std::vector<RunSpec> specs = quickSpecs();
+    const std::vector<SimResult> got = backend.runAll(specs);
+
+    ThreadedBackend threaded;
+    const std::vector<SimResult> expect = threaded.runAll(specs, 1);
+    ASSERT_EQ(got.size(), expect.size());
+    for (std::size_t i = 0; i < got.size(); ++i)
+        EXPECT_EQ(resultBytes(got[i]), resultBytes(expect[i])) << i;
 }

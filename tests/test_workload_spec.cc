@@ -22,6 +22,7 @@
 
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -308,7 +309,8 @@ TEST(WorkloadSerdes, RejectsTruncationAndKindCorruption)
     const std::string bytes = std::move(w).take();
 
     for (std::size_t cut = 0; cut < bytes.size(); cut += 7) {
-        ByteReader r(bytes.substr(0, cut));
+        const std::string prefix = bytes.substr(0, cut);
+        ByteReader r(prefix);
         WorkloadSpec junk;
         EXPECT_FALSE(deserializeWorkload(r, junk))
             << "accepted a truncation at " << cut;
@@ -397,6 +399,35 @@ TEST(Generators, ParseRejectsUnknownNamesQuietly)
     EXPECT_FALSE(parseGeneratorForm("bfs", out));
     EXPECT_FALSE(parseGeneratorForm("", out));
     EXPECT_FALSE(parseGeneratorForm("pchaser:8k", out));
+}
+
+TEST(Generators, ParseRejectsSizesItCannotRun)
+{
+    // Accepting any of these would run something other than what was
+    // asked for: a wrapped size, INSTS truncated to int, or a region
+    // the cursor raises to one line.
+    WorkloadSpec out;
+    EXPECT_EXIT(parseGeneratorForm("pchase:99999999999g", out),
+                ::testing::ExitedWithCode(1),
+                "pchase:99999999999g.*overflows 64 bits");
+    EXPECT_EXIT(parseGeneratorForm("stride:99999999999999999999", out),
+                ::testing::ExitedWithCode(1),
+                "stride:99999999999999999999.*overflows 64 bits");
+    EXPECT_EXIT(parseGeneratorForm("pchase:8k:2147483648", out),
+                ::testing::ExitedWithCode(1),
+                "pchase:8k:2147483648.*insts");
+    EXPECT_EXIT(parseGeneratorForm("pchase:0", out),
+                ::testing::ExitedWithCode(1),
+                "pchase:0.*smaller than one 128-byte cache line");
+    EXPECT_EXIT(parseGeneratorForm("stride:3:5", out),
+                ::testing::ExitedWithCode(1),
+                "stride:3:5.*smaller than one 128-byte cache line");
+
+    // The bounds themselves are accepted.
+    EXPECT_EQ(generatorSpec("pchase:128").gen.regionBytes, 128u);
+    EXPECT_EQ(generatorSpec("pchase:8k:2147483647").gen.insts, INT_MAX);
+    EXPECT_EQ(generatorSpec("stride:1:16g").gen.regionBytes,
+              16ull * 1024 * 1024 * 1024);
 }
 
 TEST(Generators, LaunchShapesFitEveryCoreBudget)
