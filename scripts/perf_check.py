@@ -102,9 +102,10 @@ def main():
 
     # The skip scheduler must not lose to lockstep on any profile of
     # the fresh report itself: congested profiles are exactly where the
-    # fused-span machinery has to pay for its horizon sweeps, so a
-    # sub-1.0x row means the fusion heuristics regressed even if the
-    # absolute rate still clears the baseline threshold.
+    # skip scheduler pays for horizon queries and per-core elision
+    # probes that rarely skip, so a sub-1.0x row means that overhead
+    # regressed even if the absolute rate still clears the baseline
+    # threshold.
     for name, f in fresh_profiles.items():
         s = skip_speedup(f)
         if s is None:

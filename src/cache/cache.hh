@@ -273,9 +273,10 @@ class CacheModel
     }
 
     /**
-     * Account @p n stalled cycles against @p cause in one shot: the
-     * span-integration path of a fused skip. Only valid for causes a
-     * memoized retry proves constant over the span (never PortBusy).
+     * Account @p n stalled cycles against @p cause in one shot: how
+     * SmCore integrates a fused span's memoized L1D/L1I stall replays.
+     * Only valid for causes a memoized retry proves constant over the
+     * span (never PortBusy).
      */
     void
     countStalls(CacheStallCause cause, std::uint64_t n)

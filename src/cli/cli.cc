@@ -184,7 +184,7 @@ runFig11(const exp::ExperimentOptions &opts, std::ostream &os)
     emit(opts, os, t.table);
     note(opts, os,
          "\n(simulated stand-in for the paper's real-GPU "
-         "experiment; see DESIGN.md)\n");
+         "experiment)\n");
 }
 
 void
@@ -525,11 +525,12 @@ printExecStats(std::ostream &err)
     const SimCache &cache = SimCache::global();
     err << csprintf(
         "bwsim: exec stats: sims=%llu mem-hits=%llu disk-hits=%llu "
-        "disk-stores=%llu backend=%s\n",
+        "disk-stores=%llu capped=%llu backend=%s\n",
         static_cast<unsigned long long>(cache.simsRun()),
         static_cast<unsigned long long>(cache.hits()),
         static_cast<unsigned long long>(cache.diskHits()),
         static_cast<unsigned long long>(cache.diskStores()),
+        static_cast<unsigned long long>(cache.cappedResults()),
         exp::executionBackend().name().c_str());
     const SimSpeedTotals speed = simSpeedTotals();
     err << csprintf(
@@ -555,16 +556,25 @@ printExecStats(std::ostream &err)
                 static_cast<unsigned long long>(d.ticks),
                 double(d.nanos) / 1e9, d.avgNanos());
         }
-        err << csprintf(
-            "bwsim: tick profile: fused-spans=%llu fused-cycles=%llu "
-            "avg-cycles-per-span=%.1f core-elided-ticks=%llu\n",
-            static_cast<unsigned long long>(speed.fusedSpans),
-            static_cast<unsigned long long>(speed.fusedCycles),
-            speed.fusedSpans
-                ? double(speed.fusedCycles) / double(speed.fusedSpans)
-                : 0.0,
-            static_cast<unsigned long long>(speed.coreElidedTicks));
     }
+}
+
+/**
+ * One exit-time warning when any result this process used hit the
+ * cycle cap. Gpu::run() warns as a capped simulation ends, but a warm
+ * --cache-dir rerun recalls the result without simulating, and the
+ * table cell it feeds looks like any other.
+ */
+void
+warnCappedResults(std::ostream &err)
+{
+    const std::uint64_t capped = SimCache::global().cappedResults();
+    if (capped == 0)
+        return;
+    err << csprintf("bwsim: warning: %llu simulation result(s) hit the "
+                    "cycle cap; their table cells describe truncated "
+                    "runs\n",
+                    static_cast<unsigned long long>(capped));
 }
 
 /** The --worker process mode: drain --spool-dir until stopped. */
@@ -585,6 +595,7 @@ runWorkerMode(const exp::ExperimentOptions &opts, std::ostream &err)
         static_cast<unsigned long long>(stats.corruptJobs),
         static_cast<unsigned long long>(cache.simsRun()),
         static_cast<unsigned long long>(cache.diskHits()));
+    warnCappedResults(err);
     return 0;
 }
 
@@ -718,7 +729,7 @@ runPerf(const std::string &out_path, std::ostream &out, std::ostream &err)
         }
     }
     // The congested coverage case: shrunk bfs exercises crossbar
-    // backpressure and the DRAM bus-sleep path. Labelled "congested:"
+    // backpressure and congested DRAM queues. Labelled "congested:"
     // and kept out of the fig10 aggregate so the summary numbers stay
     // comparable across commits.
     {
@@ -1432,6 +1443,7 @@ cliMain(int argc, const char *const *argv, std::ostream &out,
             double(rep.bytesKept) / kMB, cache_max_mb);
     }
 
+    warnCappedResults(err);
     if (exec_stats)
         printExecStats(err);
     return rc;

@@ -3,7 +3,7 @@
  * The experiment registry: one function per table/figure of the paper.
  * Each returns a SeriesTable -- a printable TextTable plus the raw
  * numeric grid -- so benchmark binaries print it and tests assert on
- * it. The per-experiment index lives in DESIGN.md §4.
+ * it. `bwsim --list` indexes the experiments.
  */
 
 #ifndef BWSIM_CORE_EXPERIMENTS_HH

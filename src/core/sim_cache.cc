@@ -158,7 +158,9 @@ SimCache::runAll(const std::vector<RunSpec> &specs, int threads)
 
         std::lock_guard<std::mutex> lock(mu);
         for (std::size_t r = 0; r < claimed.size(); ++r) {
-            results.emplace(claim_keys[r], resolved[r]);
+            if (results.emplace(claim_keys[r], resolved[r]).second &&
+                resolved[r].timedOut)
+                ++cappedCount;
             inFlight.erase(claim_keys[r]);
         }
         runCount += to_sim.size();
@@ -209,7 +211,8 @@ SimCache::runAll(const std::vector<RunSpec> &specs, int threads)
                 ++diskHitCount;
             else
                 ++runCount;
-            results.emplace(keys[i], r);
+            if (results.emplace(keys[i], r).second && r.timedOut)
+                ++cappedCount;
             inFlight.erase(keys[i]);
             out[i] = r;
             cv.notify_all();
@@ -227,6 +230,7 @@ SimCache::clear()
     runCount = 0;
     diskHitCount = 0;
     diskStoreCount = 0;
+    cappedCount = 0;
     // inFlight keys stay claimed by their active producers; wake
     // waiters so none sleeps through a result dropped before it woke.
     cv.notify_all();
@@ -258,6 +262,13 @@ SimCache::diskStores() const
 {
     std::lock_guard<std::mutex> lock(mu);
     return diskStoreCount;
+}
+
+std::uint64_t
+SimCache::cappedResults() const
+{
+    std::lock_guard<std::mutex> lock(mu);
+    return cappedCount;
 }
 
 std::size_t

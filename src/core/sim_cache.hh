@@ -94,6 +94,14 @@ class SimCache
     std::uint64_t diskHits() const;
     /** Results persisted to the disk tier. */
     std::uint64_t diskStores() const;
+    /**
+     * Distinct results this cache resolved -- fresh, from the disk
+     * tier or from the execution backend's workers -- that hit the
+     * cycle cap (SimResult::timedOut). A warm rerun recalls a capped
+     * result without simulating, so this is the only place its cap
+     * is still visible.
+     */
+    std::uint64_t cappedResults() const;
     std::size_t size() const;
     /**@}*/
 
@@ -120,6 +128,7 @@ class SimCache
     std::uint64_t runCount = 0;
     std::uint64_t diskHitCount = 0;
     std::uint64_t diskStoreCount = 0;
+    std::uint64_t cappedCount = 0;
 };
 
 } // namespace bwsim

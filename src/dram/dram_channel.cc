@@ -376,102 +376,21 @@ DramChannel::tick(double now_ps)
 std::uint64_t
 DramChannel::horizon() const
 {
+    if (queuedCount != 0)
+        return 0;
+    // Burst retirements are observable (packet frees, return-queue
+    // landings) and must execute as real ticks.
     std::uint64_t h = kInfiniteHorizon;
     auto event = [this, &h](Cycle ready) {
         h = std::min(h, ready > cycle + 1
                             ? static_cast<std::uint64_t>(ready - cycle - 1)
                             : std::uint64_t(0));
     };
-    // Burst retirements are observable (packet frees, return-queue
-    // landings) and must execute as real ticks.
     if (!writeDrainPipe.empty())
         event(writeDrainPipe.frontReady());
     if (!readReturnPipe.empty())
         event(readReturnPipe.frontReady());
-    if (queuedCount == 0)
-        return h;
-
-    // Bus-sleep scan: the earliest cycle any FR-FCFS command can
-    // legally issue, from the frozen gates. Each candidate's time is
-    // the max of the gates tryIssue*() tests against the clock; until
-    // the minimum over all candidates, every tick is a failed
-    // arbitration charging exactly one pendingCycles. The next tick
-    // runs at cycle+1, so any candidate at or before it pins the
-    // horizon -- checked first on the cheap (bank-level) paths so the
-    // actively-issuing case exits without walking any bucket.
-    Cycle first = kInfiniteHorizon;
-
-    // Activate candidates: closed banks with queued requests
-    // (bank-level gates only, no bucket walk).
-    std::uint64_t mask = banksWithReqs & ~openBanks;
-    while (mask) {
-        std::uint32_t bk =
-            static_cast<std::uint32_t>(__builtin_ctzll(mask));
-        mask &= mask - 1;
-        Cycle t = std::max(chanActAllowedAt, banks[bk].actAllowedAt);
-        if (t <= cycle + 1)
-            return 0;
-        first = std::min(first, t);
-    }
-
-    // Column candidates: row-matching entries of open banks (the
-    // bucket scan `continue`s past blocked entries, so every matching
-    // entry qualifies independently). Within one bucket every
-    // matching write shares one candidate time and every matching
-    // read another, so the walk stops once both kinds (and a
-    // row-mismatching precharge candidate) have been seen.
-    bool return_full =
-        returnQ.size() + returnsInFlight >= cfg.returnQueueEntries;
-    mask = banksWithReqs & openBanks;
-    while (mask) {
-        std::uint32_t bk =
-            static_cast<std::uint32_t>(__builtin_ctzll(mask));
-        mask &= mask - 1;
-        const Bank &b = banks[bk];
-        const Cycle col_gate = std::max(chanColAllowedAt, b.colAllowedAt);
-        bool saw_write = false, saw_read = false, saw_mismatch = false;
-        for (int slot : bankQ[bk]) {
-            const Request &r = slots[slot];
-            if (r.row != b.row) {
-                saw_mismatch = true;
-            } else if (r.write && !saw_write) {
-                saw_write = true;
-                Cycle t = std::max(col_gate,
-                                   busFreeAt > cfg.timing.WL
-                                       ? busFreeAt - cfg.timing.WL
-                                       : Cycle(0));
-                if (t <= cycle + 1)
-                    return 0;
-                first = std::min(first, t);
-            } else if (!r.write && !saw_read) {
-                saw_read = true;
-                if (!return_full) {
-                    // A return-blocked read cannot land for the whole
-                    // span (in-channel landings keep the reservation
-                    // sum constant); unblocked, it is a candidate.
-                    Cycle t = std::max(col_gate,
-                                       busFreeAt > cfg.timing.CL
-                                           ? busFreeAt - cfg.timing.CL
-                                           : Cycle(0));
-                    t = std::max(t, b.readColAfterWrite);
-                    if (t <= cycle + 1)
-                        return 0;
-                    first = std::min(first, t);
-                }
-            }
-            if (saw_write && saw_read && saw_mismatch)
-                break;
-        }
-        if (saw_mismatch) {
-            if (b.preAllowedAt <= cycle + 1)
-                return 0;
-            first = std::min(first, b.preAllowedAt);
-        }
-    }
-
-    if (first == kInfiniteHorizon)
-        return h; // externally blocked: only pipe events end the span
-    return std::min(h, static_cast<std::uint64_t>(first - cycle - 1));
+    return h;
 }
 
 MemFetch *

@@ -148,47 +148,32 @@ class DramChannel
     std::size_t schedQueueCapacity() const { return cfg.schedQueueEntries; }
 
     /**
-     * Quiescence horizon (cycle-skip scheduler). With an empty
-     * scheduler queue, the earliest write-drain or read-return
-     * retirement bounds the dead span (landed returns wait on the L2
-     * fill path, not on channel ticks). With requests queued, the
-     * bus-sleep scan computes the earliest cycle any FR-FCFS command
-     * can legally issue from the frozen bank/bus/channel gates: until
-     * then every tick only charges one pendingCycles, which
-     * skipCycles() integrates in bulk. Gates are absolute cycle
-     * stamps mutated only by issued commands; pushes arrive on
-     * interconnect ticks (which invalidate this horizon via the
-     * affects map), and in-channel read landings keep
-     * returnQ.size()+returnsInFlight constant, so a return-blocked
-     * read stays blocked for the whole span.
+     * Quiescence horizon (cycle-skip scheduler): 0 while any request
+     * is queued (FR-FCFS attempts and pending-cycle accounting happen
+     * per tick), else the earliest write-drain or read-return
+     * retirement; landed returns wait on the L2 fill path, not on
+     * channel ticks.
      */
     std::uint64_t horizon() const;
 
     /**
-     * Integrate @p n skipped command cycles. On a bus-sleep span the
-     * queue occupancy is frozen nonzero and each tick charges exactly
-     * one pendingCycles, applied here in bulk. Returns true iff such
-     * fused charges were applied (false on a dead, empty-queue span).
+     * Integrate @p n skipped command cycles. Only valid on a span the
+     * horizon declared dead: the scheduler queue is empty, so there
+     * are no pending cycles; bank and bus gates are absolute cycle
+     * stamps and need no adjustment.
      */
-    bool
+    void
     skipCycles(std::uint64_t n)
     {
         cycle += n;
         ctr.cycles += n;
-        if (queuedCount == 0)
-            return false;
-        ctr.pendingCycles += n;
-        return true;
     }
 
-    /** Sample scheduler-queue occupancy (the paper's Fig. 5 metric)
-     *  for @p cycles consecutive cycles at the current (frozen)
-     *  occupancy. */
+    /** Sample scheduler-queue occupancy (the paper's Fig. 5 metric). */
     void
-    sampleOccupancy(stats::OccupancyHist &hist,
-                    std::uint64_t cycles = 1) const
+    sampleOccupancy(stats::OccupancyHist &hist) const
     {
-        hist.sample(queuedCount, cfg.schedQueueEntries, cycles);
+        hist.sample(queuedCount, cfg.schedQueueEntries);
     }
 
     /** True when no request, burst or return is anywhere in flight. */

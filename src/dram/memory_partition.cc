@@ -197,17 +197,10 @@ MemoryPartition::l2Horizon() const
         // can free the port.
         if (bank.respQueueSize() > 0 && icnt->reply().canAccept(gid))
             event(bank.respQueueFrontReady());
-        // 3. A ready access-queue head with a valid stall memo replays
-        // exactly one countStall per tick: integrable, charged in
-        // bulk by skipL2(). An unmemoized attempt is observable.
-        if (!accessQ[b].empty()) {
-            if (accessQ[b].ready(l2Cycle + 1)) {
-                if (accessMemoVer[b] != bank.version())
-                    return 0;
-            } else {
-                event(accessQ[b].frontReady());
-            }
-        }
+        // 3. A ready access-queue head is attempted (or charges a
+        // memoized stall) every tick.
+        if (!accessQ[b].empty())
+            event(accessQ[b].frontReady());
         // 4. A queued miss drains unless the DRAM scheduler queue is
         // full (ideal DRAM never back-pressures); the full case is a
         // frozen no-op until a DRAM tick frees a slot.
@@ -245,47 +238,31 @@ MemoryPartition::l2Horizon() const
     return h;
 }
 
-bool
+void
 MemoryPartition::skipL2(std::uint64_t n)
 {
-    bool fused = false;
-    for (std::uint32_t b = 0; b < cfg.banksPerPartition; ++b) {
-        // A memoized stall on a ready head replays one countStall per
-        // tick across the whole span: charge it in one shot.
-        if (accessQ[b].ready(l2Cycle + 1) &&
-            accessMemoVer[b] == banks[b]->version()) {
-            banks[b]->countStalls(
-                static_cast<CacheStallCause>(accessMemoCause[b]), n);
-            fused = true;
-        }
-    }
     l2Cycle += n;
     for (std::uint32_t b = 0; b < cfg.banksPerPartition; ++b)
         accessQHist.sample(accessQ[b].size(), accessQ[b].capacity(), n);
-    return fused;
 }
 
 std::uint64_t
 MemoryPartition::dramHorizon() const
 {
     // The ideal pipe lives on the L2 clock; DRAM ticks are pure
-    // counter increments there. The real channel computes its own
-    // bus-sleep horizon from the frozen bank/bus gates; the occupancy
-    // sample is frozen with it and integrated by skipDram().
+    // counter increments there. The real channel is dead only with an
+    // empty scheduler queue, so its occupancy sample is a no-op too.
     if (cfg.idealDram)
         return kInfiniteHorizon;
     return channel->horizon();
 }
 
-bool
+void
 MemoryPartition::skipDram(std::uint64_t n)
 {
     dramCycle += n;
-    if (cfg.idealDram)
-        return false;
-    bool fused = channel->skipCycles(n);
-    channel->sampleOccupancy(dramQHist, n);
-    return fused;
+    if (!cfg.idealDram)
+        channel->skipCycles(n);
 }
 
 void

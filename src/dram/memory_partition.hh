@@ -94,35 +94,27 @@ class MemoryPartition
     /** @name Quiescence horizons (cycle-skip scheduler) */
     /**@{*/
     /**
-     * Earliest upcoming L2 cycle whose tick could do more than replay
-     * frozen state: 0 whenever a real attempt is possible (an
-     * unmemoized access or fill, a miss draining into a non-full DRAM
+     * Earliest upcoming L2 cycle whose tick could do anything but
+     * wait: 0 whenever a real attempt is possible (a ready access-queue
+     * head, an unmemoized fill, a miss draining into a non-full DRAM
      * queue, a request-network pull into a non-full access queue, a
      * response injecting into a non-full reply port), else the
      * earliest ready time among the response queues, access queues
-     * and the ideal-DRAM pipe. A ready access-queue head with a valid
-     * stall memo does NOT pin the horizon: its tick charges exactly
-     * one countStall, which skipL2() integrates in bulk. Blocked-on-
-     * full paths are frozen no-ops: the ports they wait on only free
-     * on ticks that invalidate this horizon.
+     * and the ideal-DRAM pipe. Blocked-on-full paths and memoized fill
+     * refusals are dead: the ports they wait on only free, and the
+     * bank only mutates, on ticks that invalidate this horizon.
      */
     std::uint64_t l2Horizon() const;
     /**
-     * Integrate @p n skipped L2 cycles: bulk-replay any memoized
-     * access-queue stalls, advance the cycle counter and charge the
-     * per-cycle access-queue occupancy samples (occupancy is frozen
-     * across the span). Returns true iff stall charges were applied.
+     * Integrate @p n skipped (dead) L2 cycles: advance the cycle
+     * counter and charge the per-cycle access-queue occupancy samples
+     * (occupancy is frozen across the span).
      */
-    bool skipL2(std::uint64_t n);
+    void skipL2(std::uint64_t n);
     /** Channel horizon; infinite under the ideal-DRAM pipe. */
     std::uint64_t dramHorizon() const;
-    /**
-     * Integrate @p n skipped DRAM command cycles: the channel's bulk
-     * pending-cycle charge plus the per-cycle scheduler-queue
-     * occupancy samples. Returns true iff the span was a fused
-     * bus-sleep (queued requests, no command legal).
-     */
-    bool skipDram(std::uint64_t n);
+    /** Integrate @p n skipped (dead) DRAM command cycles. */
+    void skipDram(std::uint64_t n);
     /**@}*/
 
     /** All queues, banks and the channel are empty. */

@@ -49,16 +49,10 @@ Gpu::Gpu(const GpuConfig &config, const WorkloadSpec &workload)
 
     clocks.domain(dramDomain)
         .setSkipHooks([this] { return memSys->dramHorizon(); },
-                      [this](std::uint64_t n) {
-                          if (memSys->dramSkip(n))
-                              recordFusedSpan(n);
-                      });
+                      [this](std::uint64_t n) { memSys->dramSkip(n); });
     clocks.domain(icntDomain)
         .setSkipHooks([this] { return memSys->icntHorizon(); },
-                      [this](std::uint64_t n) {
-                          if (memSys->icntSkip(n))
-                              recordFusedSpan(n);
-                      });
+                      [this](std::uint64_t n) { memSys->icntSkip(n); });
     clocks.domain(coreDomain)
         .setSkipHooks([this] { return coreQuiesceHorizon(); },
                       [this](std::uint64_t n) { coreSkip(n); });
@@ -200,21 +194,9 @@ Gpu::coreIdleHorizon(int c, std::uint64_t pre_cycle)
 std::uint64_t
 Gpu::coreQuiesceHorizon()
 {
-    // The scan starts at the core that vetoed last time -- an active
-    // core usually stays active, so a pinned horizon is rediscovered
-    // in one probe.
     std::uint64_t h = kInfiniteHorizon;
-    for (int i = 0; i < cfg.numCores; ++i) {
-        int c = lastCoreVeto + i;
-        if (c >= cfg.numCores)
-            c -= cfg.numCores;
-        std::uint64_t ch = coreIdleHorizon(c, coreCycleCount);
-        if (ch == 0) {
-            lastCoreVeto = c;
-            return 0;
-        }
-        h = std::min(h, ch);
-    }
+    for (int c = 0; c < cfg.numCores && h > 0; ++c)
+        h = std::min(h, coreIdleHorizon(c, coreCycleCount));
     return h;
 }
 

@@ -101,7 +101,11 @@ class Gpu : public WorkSource
     std::uint64_t coreIdleHorizon(int c, std::uint64_t pre_cycle);
     /** Core-domain quiescence horizon (min of coreIdleHorizon). */
     std::uint64_t coreQuiesceHorizon();
-    /** Integrate a skipped core-domain span into every core. */
+    /**
+     * Integrate a skipped core-domain span into every core; a span in
+     * which any core replays a memoized stall is the process's one
+     * source of fused spans (recordFusedSpan).
+     */
     void coreSkip(std::uint64_t n);
 
     /**
@@ -137,8 +141,6 @@ class Gpu : public WorkSource
     std::uint64_t coreCycleCount = 0;
     /** Core ticks replaced by skipCycles(1) inside executed edges. */
     std::uint64_t coreElidedTicks = 0;
-    /** Core that vetoed the last horizon probe; scanned first next. */
-    int lastCoreVeto = 0;
 
     /** Root of the stats tree; components register into it below. */
     stats::Group statsRoot{"gpu"};

@@ -220,26 +220,13 @@ CrossbarNetwork::packetsInFlight() const
 std::uint64_t
 CrossbarNetwork::horizon() const
 {
-    // A held grant moves one flit per tick: observable.
-    if (grantMask != 0)
+    // Every non-empty injection queue has a head packet wanting some
+    // destination, so the want-bitsets subsume the per-source scan.
+    if (wantedDests != 0)
         return 0;
-    // With no grants, a wanted destination either wins arbitration
-    // this tick (observable) or is eject-blocked and only charges one
-    // ejectBlockedCycles -- an identical per-cycle effect skipCycles()
-    // integrates in bulk. The span is fused only if EVERY wanted
-    // destination is blocked. Transit landings keep size()+reservedEj
-    // constant, so a blocked port stays blocked until an ejection-side
-    // pop or a fresh injection, both of which invalidate this horizon
-    // (same-domain ticks or cross-domain via the affects map).
-    std::uint64_t dmask = wantedDests;
-    while (dmask) {
-        std::uint32_t d =
-            static_cast<std::uint32_t>(__builtin_ctzll(dmask));
-        dmask &= dmask - 1;
-        if (ejQ[d].size() + reservedEj[d] < ejQ[d].capacity())
-            return 0;
-    }
-    // Only in-transit deliveries can make a future tick observable.
+    // Granted packets live in their injection queue, so empty queues
+    // also mean no grants and no eject-blocked accounting: only
+    // in-transit deliveries can make a future tick observable.
     std::uint64_t h = kInfiniteHorizon;
     std::uint64_t tmask = transitMask;
     while (tmask) {

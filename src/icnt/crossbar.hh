@@ -112,34 +112,16 @@ class CrossbarNetwork
     std::uint64_t cyclesTicked() const { return cycle; }
 
     /**
-     * Quiescence horizon (cycle-skip scheduler): 0 while any packet is
-     * mid-transfer (a grant moves one flit per tick) or any wanted
-     * destination could win arbitration. When every wanted destination
-     * is eject-blocked the span is integrable -- each tick only
-     * charges one ejectBlockedCycles per blocked port, which
-     * skipCycles() reproduces in bulk -- so the horizon falls through
-     * to the earliest transit-pipe delivery (landings are observable:
-     * packetsEjected); ejected packets wait on their owner, not on
-     * network ticks.
+     * Quiescence horizon (cycle-skip scheduler): 0 while any injection
+     * queue holds a packet (arbitration, flit movement and
+     * eject-blocked accounting all happen per tick), else the earliest
+     * transit-pipe delivery; ejected packets wait on their owner, not
+     * on network ticks.
      */
     std::uint64_t horizon() const;
-    /**
-     * Integrate @p n skipped network cycles. On a fused span (every
-     * wanted destination eject-blocked, per horizon()) each blocked
-     * port charges one ejectBlockedCycles per cycle, applied here in
-     * bulk. Returns true iff such fused charges were applied.
-     */
-    bool
-    skipCycles(std::uint64_t n)
-    {
-        cycle += n;
-        if (wantedDests == 0)
-            return false;
-        ctr.ejectBlockedCycles += static_cast<std::uint64_t>(
-                                      __builtin_popcountll(wantedDests)) *
-                                  n;
-        return true;
-    }
+    /** Integrate @p n skipped (dead) network cycles: the cycle counter
+     *  is the only state a dead tick changes. */
+    void skipCycles(std::uint64_t n) { cycle += n; }
 
     std::size_t injQueueSize(std::uint32_t src) const;
 
@@ -227,14 +209,12 @@ class Interconnect
         return std::min(reqNet.horizon(), replyNet.horizon());
     }
 
-    /** Integrate @p n skipped cycles into both directions.
-     *  @return true iff either direction applied fused charges. */
-    bool
+    /** Integrate @p n skipped cycles into both directions. */
+    void
     skipCycles(std::uint64_t n)
     {
-        bool req_fused = reqNet.skipCycles(n);
-        bool reply_fused = replyNet.skipCycles(n);
-        return req_fused || reply_fused;
+        reqNet.skipCycles(n);
+        replyNet.skipCycles(n);
     }
 
     std::size_t

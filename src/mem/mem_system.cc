@@ -208,14 +208,13 @@ NormalMemSystem::icntHorizon() const
     return h;
 }
 
-bool
+void
 NormalMemSystem::icntSkip(std::uint64_t n)
 {
     icntCycles += n;
-    bool fused = icnt->skipCycles(n);
+    icnt->skipCycles(n);
     for (auto &p : parts)
-        fused |= p->skipL2(n);
-    return fused;
+        p->skipL2(n);
 }
 
 std::uint64_t
@@ -230,14 +229,12 @@ NormalMemSystem::dramHorizon() const
     return h;
 }
 
-bool
+void
 NormalMemSystem::dramSkip(std::uint64_t n)
 {
     dramCycles += n;
-    bool fused = false;
     for (auto &p : parts)
-        fused |= p->skipDram(n);
-    return fused;
+        p->skipDram(n);
 }
 
 bool

@@ -76,16 +76,13 @@ class MemSystem
     /**
      * @name Quiescence horizons (cycle-skip scheduler)
      *
-     * How many upcoming ticks of each clock domain are provably
-     * integrable given current state: either observable no-ops, or
-     * fused spans whose only per-cycle effects are identical counter
-     * charges the matching skip callback reproduces in bulk. The
-     * defaults are maximally conservative (never skip), so an
-     * implementation that does not opt in stays correct under the
-     * skip scheduler. Skip callbacks integrate a span into per-cycle
-     * counters; they are only invoked on spans the matching horizon
-     * declared integrable, and return true iff they applied fused
-     * (non-trivial) charges.
+     * How many upcoming ticks of each clock domain are provably dead
+     * given current state: ticks whose only effects are cycle counters
+     * and frozen occupancy samples, which the matching skip callback
+     * reproduces in bulk. The defaults are maximally conservative
+     * (never skip), so an implementation that does not opt in stays
+     * correct under the skip scheduler. Skip callbacks are only
+     * invoked on spans the matching horizon declared dead.
      */
     /**@{*/
     /** Edges until this system could next act on @p core_id's tick
@@ -112,8 +109,8 @@ class MemSystem
     }
     virtual std::uint64_t icntHorizon() const { return 0; }
     virtual std::uint64_t dramHorizon() const { return 0; }
-    virtual bool icntSkip(std::uint64_t n) { (void)n; return false; }
-    virtual bool dramSkip(std::uint64_t n) { (void)n; return false; }
+    virtual void icntSkip(std::uint64_t n) { (void)n; }
+    virtual void dramSkip(std::uint64_t n) { (void)n; }
     /**@}*/
 
     /** @name Introspection (null when the level is not modelled) */
@@ -150,8 +147,8 @@ class NormalMemSystem : public MemSystem
     bool requestPortBlocked(int core_id) const override;
     std::uint64_t icntHorizon() const override;
     std::uint64_t dramHorizon() const override;
-    bool icntSkip(std::uint64_t n) override;
-    bool dramSkip(std::uint64_t n) override;
+    void icntSkip(std::uint64_t n) override;
+    void dramSkip(std::uint64_t n) override;
 
     Interconnect *interconnect() override { return icnt.get(); }
     MemoryPartition *
@@ -200,8 +197,8 @@ class IdealMemSystem : public MemSystem
                               std::uint64_t core_cycle) const override;
     std::uint64_t icntHorizon() const override { return kInfiniteHorizon; }
     std::uint64_t dramHorizon() const override { return kInfiniteHorizon; }
-    bool icntSkip(std::uint64_t) override { return false; }
-    bool dramSkip(std::uint64_t) override { return false; }
+    void icntSkip(std::uint64_t) override {}
+    void dramSkip(std::uint64_t) override {}
 
   private:
     /** Drain the core's misses and deliver matured responses. */

@@ -12,10 +12,10 @@
  *
  * Cycle-skip scheduling: a domain may additionally install a horizon
  * hook reporting how many of its upcoming edges are provably
- * integrable ("quiescence horizon") -- either observable no-ops, or
- * fused spans whose only per-cycle effects are identical counter
- * increments (memoized stall replays, eject-blocked charges, DRAM
- * pending cycles, frozen occupancy samples) -- plus a skip hook that
+ * integrable ("quiescence horizon") -- either dead edges, whose only
+ * effects are cycle counters and frozen occupancy samples, or fused
+ * spans whose per-cycle effects are identical counter increments
+ * (SmCore's memoized L1D/L1I stall replays) -- plus a skip hook that
  * integrates a span of skipped edges into those counters in one shot.
  * runUntil() then replays the exact lockstep sequence of edge instants
  * but elides the component callbacks on edges every due domain
@@ -54,21 +54,21 @@ class ClockDomain
      * integrable given current component state: 0 means the very next
      * edge must execute, kInfiniteHorizon means nothing happens until
      * some other domain's execution changes the component's inputs.
-     * An integrable edge is either a pure no-op or charges per-cycle
-     * counters whose values are a frozen function of current state
-     * (the matching SkipFn reproduces them in bulk). Only called when
-     * the domain has no unreported skipped edges, so the component's
-     * own counters are up to date.
+     * An integrable edge is either dead (cycle counters and frozen
+     * occupancy samples only) or charges per-cycle counters whose
+     * values are a frozen function of current state (the matching
+     * SkipFn reproduces them in bulk). Only called when the domain
+     * has no unreported skipped edges, so the component's own
+     * counters are up to date.
      */
     using HorizonFn = std::function<std::uint64_t()>;
     /**
      * Integrate @p n skipped edges into the component's per-cycle
      * counters (cycle totals, frozen occupancy samples, memoized stall
-     * replays, pending/eject-blocked charges). Must leave all
-     * observable state exactly as @p n individual lockstep ticks would
-     * have; it runs before any tick executes at the flush instant, so
-     * the component state it reads is the state the span was approved
-     * against.
+     * replays). Must leave all observable state exactly as @p n
+     * individual lockstep ticks would have; it runs before any tick
+     * executes at the flush instant, so the component state it reads
+     * is the state the span was approved against.
      */
     using SkipFn = std::function<void(std::uint64_t)>;
 
@@ -97,8 +97,6 @@ class ClockDomain
     bool skippable() const { return static_cast<bool>(horizonFn); }
     /** Cached quiescence horizon, recomputed when invalidated. */
     std::uint64_t horizon();
-    /** True iff horizon() would return without calling the hook. */
-    bool horizonCached() const { return horizonValid; }
     /** Component inputs may have changed: recompute before next use. */
     void invalidateHorizon() { horizonValid = false; }
     /**
@@ -172,41 +170,11 @@ class MultiClock
     /**@}*/
 
   private:
-    /**
-     * Skip-attempt pacing (see runUntil): after a vetoed attempt the
-     * next skipHoldoff instants execute without querying horizons,
-     * doubling per consecutive veto up to the cap. Skipping either
-     * side of the heuristic is provably state-identical, so the pacing
-     * only trades skipped-edge counts against horizon-recompute cost;
-     * it is deterministic (a pure function of the run's veto history).
-     */
-    static constexpr std::uint32_t kMaxSkipBackoff = 64;
-    /** Skipped-instant streak treated as a genuine quiescent span. */
-    static constexpr std::uint32_t kGoodStreak = 16;
-    /**
-     * Minimum horizon a fresh attempt must find to open a span: a
-     * shorter one saves fewer ticks than the sweep + span-integration
-     * flush cost. Only applied when horizons were just recomputed --
-     * continuing an already-open span is nearly free at any length.
-     */
-    static constexpr std::uint64_t kMinSkipSpan = 8;
-
     std::vector<ClockDomain> domains;
     std::vector<std::vector<std::size_t>> affects;
-    /** affects as per-source bitmasks, for cheap banked invalidation. */
-    std::vector<std::uint32_t> affectsMasks;
     double now = 0.0;
     std::uint64_t ticked = 0;
     std::uint64_t skipped = 0;
-    std::uint32_t skipHoldoff = 0;
-    std::uint32_t skipBackoff = 0;
-    std::uint32_t skipStreak = 0;
-    /** Invalidations banked since the last attempt (bit per domain). */
-    std::uint32_t invalidMask = 0;
-    /** Domain that vetoed the last attempt; checked first on the next. */
-    std::size_t lastVeto = ~std::size_t(0);
-    /** Any skipped edges not yet reported to the SkipFns. */
-    bool skipsPending = false;
 };
 
 } // namespace bwsim

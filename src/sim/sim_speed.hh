@@ -50,11 +50,12 @@ struct SimSpeedTotals
     std::uint64_t tickedEdges = 0;
     std::uint64_t skippedEdges = 0;
     /**
-     * Fused spans: skipped spans whose integration charged per-cycle
-     * counters in bulk (memoized stall replays, eject-blocked cycles,
-     * DRAM pending cycles) rather than being observable no-ops.
-     * fusedCycles counts the edges so integrated; every fused cycle is
-     * also in skippedEdges (fused is a subset marker, not disjoint).
+     * Fused spans: skipped core-domain spans in which some SmCore
+     * replayed a memoized L1D/L1I stall (or fetch rotation) in bulk,
+     * rather than the span being dead. Only the core domain fuses;
+     * crossbar, L2 and DRAM skip dead edges only. fusedCycles counts
+     * the edges so integrated; every fused cycle is also in
+     * skippedEdges (fused is a subset marker, not disjoint).
      */
     std::uint64_t fusedSpans = 0;
     std::uint64_t fusedCycles = 0;
@@ -83,8 +84,8 @@ void recordSimSpeed(std::uint64_t core_cycles, std::uint64_t ticked_edges,
                     std::uint64_t wall_nanos);
 
 /**
- * Record one fused span: a flush of @p fused_cycles skipped edges in
- * one domain that charged per-cycle counters in bulk (thread-safe).
+ * Record one fused span: a flush of @p fused_cycles skipped core edges
+ * that replayed memoized SmCore stalls in bulk (thread-safe).
  */
 void recordFusedSpan(std::uint64_t fused_cycles);
 

@@ -20,7 +20,8 @@
  *
  * Each benchmark's parameters were chosen to reproduce its published
  * first-order behaviour (which memory level limits it, its P-inf /
- * P-DRAM class); EXPERIMENTS.md records paper-vs-measured.
+ * P-DRAM class). paperPinf / paperPdram carry the paper's Table II
+ * speedups; `bwsim tab2` prints the measured ones.
  */
 
 #ifndef BWSIM_WORKLOADS_PROFILE_HH

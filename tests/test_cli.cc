@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "cli/cli.hh"
+#include "common/log.hh"
 #include "core/sim_cache.hh"
 #include "core/work_queue.hh"
 #include "sim/tick_profile.hh"
@@ -254,6 +255,35 @@ TEST(Cli, DumpStatsStillPrintsTheExecStatsEpilogue)
               std::string::npos);
     // Without --profile-ticks there must be no profiler lines.
     EXPECT_EQ(err.find("bwsim: tick profile:"), std::string::npos);
+}
+
+TEST(Cli, CappedResultsWarnOnceAtExit)
+{
+    // The exit warning reads the cache's capped count, so it fires
+    // even when no simulation ran in this invocation (a warm
+    // --cache-dir rerun recalls capped results silently otherwise).
+    SimCache &cache = SimCache::global();
+    cache.clear();
+    GpuConfig cfg = GpuConfig::baseline();
+    cfg.maxCoreCycles = 64;
+    const bool was_quiet = quiet();
+    setQuiet(true);
+    ASSERT_TRUE(cache.run(makeTestProfile("tiny-stream"), cfg).timedOut);
+    setQuiet(was_quiet);
+
+    std::string out, err;
+    ASSERT_EQ(runCli({"tab1", "--exec-stats"}, out, err), 0);
+    EXPECT_NE(err.find(" capped=1 "), std::string::npos) << err;
+    const std::string warning = "hit the cycle cap";
+    const auto first = err.find(warning);
+    ASSERT_NE(first, std::string::npos) << err;
+    EXPECT_EQ(err.find(warning, first + 1), std::string::npos)
+        << "capped-result warning printed more than once";
+
+    cache.clear();
+    ASSERT_EQ(runCli({"tab1", "--exec-stats"}, out, err), 0);
+    EXPECT_NE(err.find(" capped=0 "), std::string::npos) << err;
+    EXPECT_EQ(err.find(warning), std::string::npos) << err;
 }
 
 TEST(Cli, ProfileTicksAddsTheProfilerTreeAndEpilogue)

@@ -203,6 +203,81 @@ TEST(MultiClock, RunUntilMatchesStepAcrossDomains)
     EXPECT_GT(sk.skippedEdges(), 0u);
 }
 
+TEST(MultiClock, RunUntilSkipsShortSpans)
+{
+    // Events at cycles 4, 7, 11, 14, 18, ... (alternating gaps of 3
+    // and 4), so every horizon computed after an executed event is 2
+    // or 3. runUntil must skip every one of those short spans -- no
+    // minimum span length -- and leave the same state as a pure
+    // step() run.
+    struct Component
+    {
+        std::uint64_t cycles = 0;
+        std::uint64_t quiet = 0; ///< per-cycle counter on non-events
+        std::vector<double> eventInstants;
+        std::vector<std::uint64_t> executed; ///< cycles actually ticked
+        static bool
+        isEvent(std::uint64_t c)
+        {
+            return c % 7 == 0 || c % 7 == 4;
+        }
+    };
+    auto build = [](MultiClock &mc, Component &comp) {
+        return mc.addDomain("d", 700.0, [&mc, &comp] {
+            ++comp.cycles;
+            comp.executed.push_back(comp.cycles);
+            if (Component::isEvent(comp.cycles))
+                comp.eventInstants.push_back(mc.nowPs());
+            else
+                ++comp.quiet;
+        });
+    };
+
+    MultiClock ls;
+    Component ls_comp;
+    std::size_t ld = build(ls, ls_comp);
+    while (ls.domain(ld).cycle() < 100)
+        ls.step();
+
+    MultiClock sk;
+    Component sk_comp;
+    std::size_t sd = build(sk, sk_comp);
+    std::vector<std::uint64_t> horizons;
+    sk.domain(sd).setSkipHooks(
+        [&]() -> std::uint64_t {
+            std::uint64_t next = sk_comp.cycles + 1;
+            while (!Component::isEvent(next))
+                ++next;
+            std::uint64_t h = next - sk_comp.cycles - 1;
+            if (Component::isEvent(sk_comp.cycles))
+                horizons.push_back(h);
+            return h;
+        },
+        [&sk_comp](std::uint64_t n) {
+            sk_comp.cycles += n;
+            sk_comp.quiet += n;
+        });
+    sk.runUntil(sd, 100);
+
+    ASSERT_FALSE(horizons.empty());
+    for (std::uint64_t h : horizons) {
+        EXPECT_GE(h, 2u);
+        EXPECT_LE(h, 3u);
+    }
+    EXPECT_GT(sk.skippedEdges(), 0u);
+    // Only event edges and the target-reaching edge execute.
+    for (std::uint64_t c : sk_comp.executed)
+        EXPECT_TRUE(Component::isEvent(c) || c == 100u)
+            << "cycle " << c << " of a short dead span executed";
+    EXPECT_EQ(sk.tickedEdges() + sk.skippedEdges(), 100u);
+    EXPECT_EQ(sk_comp.cycles, ls_comp.cycles);
+    EXPECT_EQ(sk_comp.quiet, ls_comp.quiet);
+    EXPECT_EQ(sk_comp.eventInstants, ls_comp.eventInstants);
+    EXPECT_EQ(sk.domain(sd).cycle(), ls.domain(ld).cycle());
+    EXPECT_EQ(sk.domain(sd).nextEdge(), ls.domain(ld).nextEdge());
+    EXPECT_EQ(sk.nowPs(), ls.nowPs());
+}
+
 TEST(MultiClock, WokenDomainResumesOnItsOwnGrid)
 {
     // A domain that skips a long dead span must keep its own edge

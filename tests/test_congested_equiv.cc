@@ -166,11 +166,13 @@ TEST(CongestedEquiv, SchedulerModesProduceByteIdenticalStats)
     const std::string skip = dumpUnder(SchedulerMode::Skip);
     const SimSpeedTotals after = simSpeedTotals();
 
-    // The skip run must have exercised span *fusion* -- spans whose
-    // integration bulk-charged per-cycle counters -- not just no-op
-    // dead edges. A congested run with zero fused spans means the
-    // fusion machinery silently stopped engaging, and this suite would
-    // be certifying equivalence of a path nobody takes.
+    // The skip run must have exercised span *fusion* -- skipped core
+    // spans in which some SmCore bulk-replayed a memoized L1D/L1I
+    // stall (the only domain that fuses; crossbar, L2 and DRAM skip
+    // dead edges only) -- not just dead edges. Per-core elision rests
+    // on the same replays, so a congested run with zero fused spans
+    // means that machinery silently stopped engaging, and this suite
+    // would be certifying equivalence of a path nobody takes.
     EXPECT_GT(after.fusedSpans, before.fusedSpans)
         << "skip run fused no spans: congested cycles never integrated";
     EXPECT_GT(after.fusedCycles, before.fusedCycles)

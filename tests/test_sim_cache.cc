@@ -8,12 +8,14 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <memory>
 #include <sstream>
 #include <thread>
 #include <unordered_map>
 
 #include "cli/cli.hh"
+#include "common/log.hh"
 #include "core/sim_cache.hh"
 #include "gpu/gpu.hh"
 
@@ -277,4 +279,45 @@ TEST(SimCache, SimulationBackendIsPluggable)
     cache.clear();
     cache.run(p, cfg);
     EXPECT_EQ(counting->calls, 1u);
+}
+
+TEST(SimCache, CappedResultsCountedFreshAndFromDisk)
+{
+    // A cycle-capped result must stay visible however it is resolved:
+    // a warm rerun recalls it from the disk tier without simulating,
+    // so Gpu::run()'s own warning never fires there.
+    const std::string dir =
+        ::testing::TempDir() + "bwsim-capped-results";
+    std::filesystem::remove_all(dir);
+    GpuConfig capped = GpuConfig::baseline();
+    capped.maxCoreCycles = 64;
+    std::vector<RunSpec> specs{{makeTestProfile("tiny-stream"), capped},
+                               {makeTestProfile("tiny-compute"),
+                                quickConfig()}};
+    const bool was_quiet = quiet();
+    setQuiet(true);
+
+    SimCache cold;
+    cold.attachDiskTier(dir);
+    auto fresh = cold.runAll(specs, 1);
+    ASSERT_TRUE(fresh[0].timedOut);
+    ASSERT_FALSE(fresh[1].timedOut);
+    EXPECT_EQ(cold.simsRun(), 2u);
+    EXPECT_EQ(cold.cappedResults(), 1u);
+    // Memory hits return the same result: still one capped result.
+    cold.runAll(specs, 1);
+    EXPECT_EQ(cold.cappedResults(), 1u);
+
+    SimCache warm;
+    warm.attachDiskTier(dir);
+    auto recalled = warm.runAll(specs, 1);
+    EXPECT_EQ(warm.simsRun(), 0u);
+    EXPECT_EQ(warm.diskHits(), 2u);
+    EXPECT_TRUE(recalled[0].timedOut);
+    EXPECT_EQ(warm.cappedResults(), 1u);
+    warm.clear();
+    EXPECT_EQ(warm.cappedResults(), 0u);
+
+    setQuiet(was_quiet);
+    std::filesystem::remove_all(dir);
 }
