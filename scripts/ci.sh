@@ -28,7 +28,7 @@ run_tests() {
 # the suite still passes).
 asan() {
     cmake -B build-asan -S . -DBWSIM_SANITIZE=address,undefined \
-        -DBWSIM_BUILD_BENCHES=OFF -DBWSIM_BUILD_EXAMPLES=OFF
+        -DBWSIM_BUILD_EXAMPLES=OFF
     cmake --build build-asan -j "$(nproc)"
     UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
         ctest --test-dir build-asan --output-on-failure \

@@ -2,8 +2,8 @@
 """Render bwsim experiment output as charts.
 
 Consumes the machine-readable output of `bwsim --format=json` or
-`--format=csv` (one table per experiment) and the perf harness's
-BENCH_*.json reports, and renders the paper-style figures:
+`--format=csv` (one table per experiment) and renders the paper-style
+figures:
 
     # line chart: IPC vs added latency (Fig. 3)
     ./build/bwsim --format=json fig3  > fig3.json
@@ -16,10 +16,6 @@ BENCH_*.json reports, and renders the paper-style figures:
     # fig11 (core-frequency scaling) and fig12 (hierarchy variants)
     # work the same way.
 
-    # perf trajectory: simulation rate per profile across one or more
-    # BENCH_fig10.json reports (oldest first)
-    python3 scripts/plot.py perf BENCH_fig10.json [older.json ...] -o perf.png
-
 matplotlib is optional: without it the script prints the parsed table
 to stdout and exits with status 2, so it can run in minimal containers
 as a format check.
@@ -31,7 +27,7 @@ import io
 import json
 import sys
 
-KINDS = ("fig3", "fig10", "fig11", "fig12", "perf")
+KINDS = ("fig3", "fig10", "fig11", "fig12")
 
 
 def load_tables(path):
@@ -124,77 +120,37 @@ def plot_grouped_bars(plt, headers, rows, title, ylabel, out):
     fig.savefig(out, dpi=150)
 
 
-def plot_perf(plt, paths, out):
-    """Simulation-rate trajectory across BENCH_*.json reports."""
-    reports = []
-    for path in paths:
-        with open(path, encoding="utf-8") as fh:
-            reports.append(json.load(fh))
-    labels = [r.get("commit", "?")[:10] for r in reports]
-    profiles = [p["name"] for p in reports[0]["profiles"]]
-    fig, ax = plt.subplots(figsize=(7, 4.5))
-    for name in profiles:
-        ys = []
-        for r in reports:
-            entry = next((p for p in r["profiles"] if p["name"] == name), None)
-            ys.append(entry["skip"]["cycles_per_sec"] if entry else None)
-        ax.plot(range(len(reports)), ys, "-o", label=name)
-    ax.set_xticks(range(len(reports)))
-    ax.set_xticklabels(labels, rotation=45, ha="right", fontsize=8)
-    ax.set_ylabel("core cycles / second (skip scheduler)")
-    ax.set_title("bwsim simulation rate")
-    ax.set_yscale("log")
-    ax.grid(True, alpha=0.3)
-    ax.legend(fontsize=7)
-    fig.tight_layout()
-    fig.savefig(out, dpi=150)
-
-
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("kind", choices=KINDS, help="which figure to render")
-    ap.add_argument("inputs", nargs="+", metavar="FILE",
-                    help="bwsim --format=json|csv output, or BENCH_*.json for 'perf'")
+    ap.add_argument("input", metavar="FILE",
+                    help="bwsim --format=json|csv output")
     ap.add_argument("-o", "--out", default=None,
                     help="output image (default: <kind>.png)")
     args = ap.parse_args()
     out = args.out or f"{args.kind}.png"
 
+    headers, rows = load_tables(args.input)[0]
     plt = get_pyplot()
-
-    if args.kind == "perf":
-        if plt is None:
-            for path in args.inputs:
-                with open(path, encoding="utf-8") as fh:
-                    report = json.load(fh)
-                print(f"{path}: commit {report.get('commit', '?')}")
-                for p in report["profiles"]:
-                    print(f"  {p['name']}: {p['skip']['cycles_per_sec']:.0f} "
-                          f"cycles/sec (speedup {p['speedup']:.2f}x)")
-            print("matplotlib not available; parsed only", file=sys.stderr)
-            raise SystemExit(2)
-        plot_perf(plt, args.inputs, out)
-    else:
-        headers, rows = load_tables(args.inputs[0])[0]
-        if plt is None:
-            print_table(headers, rows)
-            print("matplotlib not available; parsed only", file=sys.stderr)
-            raise SystemExit(2)
-        if args.kind == "fig3":
-            plot_lines(plt, headers, rows, "Fig. 3: sensitivity to added memory latency",
-                       "added latency (core cycles)", "normalized IPC", out)
-        elif args.kind == "fig10":
-            plot_grouped_bars(plt, headers, rows,
-                              "Fig. 10: speedup from doubling bandwidth",
-                              "speedup over baseline", out)
-        elif args.kind == "fig11":
-            plot_grouped_bars(plt, headers, rows,
-                              "Fig. 11: core-frequency scaling",
-                              "speedup over 1.4 GHz baseline", out)
-        elif args.kind == "fig12":
-            plot_grouped_bars(plt, headers, rows,
-                              "Fig. 12: improved memory hierarchies",
-                              "speedup over baseline", out)
+    if plt is None:
+        print_table(headers, rows)
+        print("matplotlib not available; parsed only", file=sys.stderr)
+        raise SystemExit(2)
+    if args.kind == "fig3":
+        plot_lines(plt, headers, rows, "Fig. 3: sensitivity to added memory latency",
+                   "added latency (core cycles)", "normalized IPC", out)
+    elif args.kind == "fig10":
+        plot_grouped_bars(plt, headers, rows,
+                          "Fig. 10: speedup from doubling bandwidth",
+                          "speedup over baseline", out)
+    elif args.kind == "fig11":
+        plot_grouped_bars(plt, headers, rows,
+                          "Fig. 11: core-frequency scaling",
+                          "speedup over 1.4 GHz baseline", out)
+    elif args.kind == "fig12":
+        plot_grouped_bars(plt, headers, rows,
+                          "Fig. 12: improved memory hierarchies",
+                          "speedup over baseline", out)
     print(f"wrote {out}")
 
 

@@ -1,14 +1,12 @@
 #include "cli/cli.hh"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <sstream>
-#include <thread>
 
 #include "common/log.hh"
 #include "core/cost_model.hh"
@@ -24,7 +22,6 @@
 
 #ifdef __unix__
 #include <signal.h>
-#include <sys/utsname.h>
 #include <sys/wait.h>
 #include <unistd.h>
 #endif
@@ -418,20 +415,12 @@ printUsage(std::ostream &os)
           "                    cycle-skipping event scheduler) or\n"
           "                    lockstep (tick every edge); results\n"
           "                    are bit-identical either way\n"
-          "  --perf-out=FILE   where `bwsim perf` writes its JSON\n"
-          "                    report (default BENCH_fig10.json)\n"
           "  --help            this message\n"
           "\n"
           "Subcommands: `bwsim trace pack IN OUT` converts a trace to\n"
           "the compact binary encoding (same content hash, so warm\n"
           "caches stay warm) and `bwsim trace info FILE` prints its\n"
           "records, content hash and workload key.\n"
-          "\n"
-          "As well as experiments, the name `perf` runs the pinned\n"
-          "perf-benchmark harness: a shrunk Fig. 10 mini-sweep plus a\n"
-          "latency-bound probe, each timed under both schedulers, with\n"
-          "machine info and per-profile simulation rates written to\n"
-          "--perf-out as JSON.\n"
           "\n"
           "Options may also come from BWSIM_BENCHES / BWSIM_THREADS /\n"
           "BWSIM_SHRINK / BWSIM_CACHE_DIR; flags win. Several\n"
@@ -596,283 +585,6 @@ runWorkerMode(const exp::ExperimentOptions &opts, std::ostream &err)
         static_cast<unsigned long long>(cache.simsRun()),
         static_cast<unsigned long long>(cache.diskHits()));
     warnCappedResults(err);
-    return 0;
-}
-
-/** JSON string escaping for the perf report (ASCII-safe). */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 8);
-    for (char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20)
-                out += csprintf("\\u%04x", c);
-            else
-                out += c;
-        }
-    }
-    return out;
-}
-
-/** One (workload, config) pair timed under both schedulers. */
-struct PerfCase
-{
-    std::string label;
-    WorkloadSpec profile;
-    GpuConfig config;
-    bool latencyProbe = false;
-    /** Congested-coverage case, excluded from the fig10 aggregate. */
-    bool congestedExtra = false;
-
-    std::uint64_t coreCycles = 0;
-    double lockstepSec = 0.0;
-    double skipSec = 0.0;
-    /** Per-rep lockstep/skip wall-time ratios (the reps interleave the
-     *  two schedulers, so each ratio pairs adjacent-in-time runs). */
-    std::vector<double> ratios;
-    std::uint64_t tickedEdges = 0;
-    std::uint64_t skippedEdges = 0;
-    std::uint64_t fusedSpans = 0;
-    std::uint64_t fusedCycles = 0;
-
-    /**
-     * Median of the paired per-rep ratios: machine-speed drift that
-     * spans several consecutive runs skews a best-of-N quotient but
-     * cancels inside each adjacent pair, so the median is the stable
-     * cross-commit metric. Falls back to the best-of quotient when no
-     * pairs were recorded.
-     */
-    double
-    speedup() const
-    {
-        if (!ratios.empty()) {
-            std::vector<double> r = ratios;
-            std::sort(r.begin(), r.end());
-            std::size_t n = r.size();
-            return n % 2 ? r[n / 2] : 0.5 * (r[n / 2 - 1] + r[n / 2]);
-        }
-        return skipSec > 0.0 ? lockstepSec / skipSec : 0.0;
-    }
-};
-
-/**
- * Time one fresh simulation of @p pc under @p mode, returning the
- * wall seconds and filling the cycle/edge counters from the run's
- * process-global telemetry delta.
- */
-double
-timeOneRun(PerfCase &pc, SchedulerMode mode)
-{
-    setSchedulerMode(mode);
-    const SimSpeedTotals before = simSpeedTotals();
-    Gpu gpu(pc.config, pc.profile);
-    const auto t0 = std::chrono::steady_clock::now();
-    SimResult r = gpu.run();
-    const auto t1 = std::chrono::steady_clock::now();
-    const SimSpeedTotals after = simSpeedTotals();
-    pc.coreCycles = r.coreCycles;
-    if (mode == SchedulerMode::Skip) {
-        pc.tickedEdges = after.tickedEdges - before.tickedEdges;
-        pc.skippedEdges = after.skippedEdges - before.skippedEdges;
-        pc.fusedSpans = after.fusedSpans - before.fusedSpans;
-        pc.fusedCycles = after.fusedCycles - before.fusedCycles;
-    }
-    return std::chrono::duration<double>(t1 - t0).count();
-}
-
-/**
- * The `bwsim perf` harness: a pinned mini-sweep (three Fig. 10
- * benchmarks at shrink=8 on the baseline and fully-scaled configs,
- * plus shrunk bfs as the congested-backpressure coverage case)
- * plus the tiny-latency probe, each simulated under the lockstep and
- * cycle-skip schedulers with per-profile wall time, simulation rate
- * and edge counts written as JSON to @p out_path. Runs are
- * best-of-@c kReps single-threaded simulations, so the numbers are
- * comparable across commits on the same machine.
- */
-int
-runPerf(const std::string &out_path, std::ostream &out, std::ostream &err)
-{
-    constexpr int kReps = 9;
-    constexpr int kShrink = 8;
-    const SchedulerMode saved_mode = schedulerMode();
-
-    std::vector<PerfCase> cases;
-    for (const char *bench : {"mm", "lbm", "sc"}) {
-        const BenchmarkProfile *p = findBenchmark(bench);
-        bwsim_assert(p, "perf harness bench '%s' missing", bench);
-        for (const char *cfg_name : {"baseline", "All"}) {
-            GpuConfig cfg;
-            bool ok = findConfigPreset(cfg_name, cfg);
-            bwsim_assert(ok, "perf harness config '%s' missing",
-                         cfg_name);
-            PerfCase pc;
-            pc.label = csprintf("fig10:%s/%s", bench, cfg_name);
-            pc.profile = shrinkProfile(*p, kShrink);
-            pc.config = cfg;
-            cases.push_back(std::move(pc));
-        }
-    }
-    // The congested coverage case: shrunk bfs exercises crossbar
-    // backpressure and congested DRAM queues. Labelled "congested:"
-    // and kept out of the fig10 aggregate so the summary numbers stay
-    // comparable across commits.
-    {
-        const BenchmarkProfile *p = findBenchmark("bfs");
-        bwsim_assert(p, "perf harness bench 'bfs' missing");
-        for (const char *cfg_name : {"baseline", "All"}) {
-            GpuConfig cfg;
-            bool ok = findConfigPreset(cfg_name, cfg);
-            bwsim_assert(ok, "perf harness config '%s' missing",
-                         cfg_name);
-            PerfCase pc;
-            pc.label = csprintf("congested:bfs/%s", cfg_name);
-            pc.profile = shrinkProfile(*p, kShrink);
-            pc.config = cfg;
-            pc.congestedExtra = true;
-            cases.push_back(std::move(pc));
-        }
-    }
-    {
-        PerfCase pc;
-        pc.label = "latency-probe/baseline";
-        pc.profile = makeTestProfile("tiny-latency");
-        pc.config = GpuConfig::baseline();
-        pc.latencyProbe = true;
-        cases.push_back(std::move(pc));
-    }
-
-    for (auto &pc : cases) {
-        for (int rep = 0; rep < kReps; ++rep) {
-            double ls = timeOneRun(pc, SchedulerMode::Lockstep);
-            double sk = timeOneRun(pc, SchedulerMode::Skip);
-            pc.lockstepSec = rep ? std::min(pc.lockstepSec, ls) : ls;
-            pc.skipSec = rep ? std::min(pc.skipSec, sk) : sk;
-            if (sk > 0.0)
-                pc.ratios.push_back(ls / sk);
-        }
-        err << csprintf(
-            "bwsim: perf: %-24s %9llu cycles  lockstep %.4fs  "
-            "skip %.4fs  speedup %.2fx\n",
-            pc.label.c_str(),
-            static_cast<unsigned long long>(pc.coreCycles),
-            pc.lockstepSec, pc.skipSec, pc.speedup());
-    }
-    setSchedulerMode(saved_mode);
-
-    // Aggregate rates over the fig10 mini-sweep (sum of cycles over
-    // sum of seconds), plus the latency probe on its own.
-    double fig10_ls_sec = 0.0, fig10_sk_sec = 0.0;
-    std::uint64_t fig10_cycles = 0;
-    double probe_speedup = 0.0;
-    for (const auto &pc : cases) {
-        if (pc.latencyProbe) {
-            probe_speedup = pc.speedup();
-        } else if (!pc.congestedExtra) {
-            fig10_ls_sec += pc.lockstepSec;
-            fig10_sk_sec += pc.skipSec;
-            fig10_cycles += pc.coreCycles;
-        }
-    }
-    const double fig10_speedup =
-        fig10_sk_sec > 0.0 ? fig10_ls_sec / fig10_sk_sec : 0.0;
-
-    const char *commit = std::getenv("BWSIM_COMMIT");
-    if (!commit || !*commit)
-        commit = std::getenv("GITHUB_SHA");
-    if (!commit || !*commit)
-        commit = "unknown";
-
-    std::ofstream f(out_path, std::ios::binary | std::ios::trunc);
-    if (!f) {
-        err << "bwsim: cannot write perf report to '" << out_path
-            << "'\n";
-        return 1;
-    }
-    f << "{\n";
-    f << "  \"schema\": 1,\n";
-    f << "  \"generated_by\": \"bwsim perf\",\n";
-    f << "  \"commit\": \"" << jsonEscape(commit) << "\",\n";
-#ifdef __unix__
-    {
-        struct utsname un;
-        if (::uname(&un) == 0) {
-            f << "  \"host\": {\"sysname\": \"" << jsonEscape(un.sysname)
-              << "\", \"release\": \"" << jsonEscape(un.release)
-              << "\", \"machine\": \"" << jsonEscape(un.machine)
-              << "\", \"hardware_concurrency\": "
-              << std::thread::hardware_concurrency() << "},\n";
-        }
-    }
-#endif
-    f << "  \"reps\": " << kReps << ",\n";
-    f << "  \"shrink\": " << kShrink << ",\n";
-    f << "  \"profiles\": [\n";
-    // Below this wall time a cycles/sec quotient is clock-resolution
-    // noise (or a division by ~zero); report rate 0 instead so
-    // downstream comparisons (scripts/perf_check.py) skip the row
-    // rather than ingest an absurd or non-finite rate.
-    constexpr double kMinWallSec = 1e-6;
-    for (std::size_t i = 0; i < cases.size(); ++i) {
-        const PerfCase &pc = cases[i];
-        auto rate = [&pc, &err, kMinWallSec](double sec) {
-            if (sec < kMinWallSec) {
-                err << csprintf(
-                    "bwsim: perf: warning: '%s' finished in %.2e s "
-                    "(below the %.0e s floor); reporting rate 0\n",
-                    pc.label.c_str(), sec, kMinWallSec);
-                return 0.0;
-            }
-            return static_cast<double>(pc.coreCycles) / sec;
-        };
-        f << csprintf(
-            "    {\"name\": \"%s\", \"workload_key\": \"%s\", "
-            "\"core_cycles\": %llu, "
-            "\"lockstep\": {\"wall_sec\": %.6f, \"cycles_per_sec\": "
-            "%.1f}, \"skip\": {\"wall_sec\": %.6f, \"cycles_per_sec\": "
-            "%.1f, \"ticked_edges\": %llu, \"skipped_edges\": %llu, "
-            "\"fused_spans\": %llu, \"fused_cycles\": %llu}, "
-            "\"speedup\": %.3f}%s\n",
-            jsonEscape(pc.label).c_str(),
-            workloadKeyTag(pc.profile).c_str(),
-            static_cast<unsigned long long>(pc.coreCycles),
-            pc.lockstepSec, rate(pc.lockstepSec), pc.skipSec,
-            rate(pc.skipSec),
-            static_cast<unsigned long long>(pc.tickedEdges),
-            static_cast<unsigned long long>(pc.skippedEdges),
-            static_cast<unsigned long long>(pc.fusedSpans),
-            static_cast<unsigned long long>(pc.fusedCycles),
-            pc.speedup(), i + 1 < cases.size() ? "," : "");
-    }
-    f << "  ],\n";
-    f << csprintf("  \"summary\": {\"fig10_core_cycles\": %llu, "
-                  "\"fig10_lockstep_sec\": %.6f, \"fig10_skip_sec\": "
-                  "%.6f, \"fig10_speedup\": %.3f, "
-                  "\"latency_probe_speedup\": %.3f}\n",
-                  static_cast<unsigned long long>(fig10_cycles),
-                  fig10_ls_sec, fig10_sk_sec, fig10_speedup,
-                  probe_speedup);
-    f << "}\n";
-    f.close();
-
-    out << csprintf("perf report written to %s (fig10 %.2fx, "
-                    "latency probe %.2fx)\n",
-                    out_path.c_str(), fig10_speedup, probe_speedup);
     return 0;
 }
 
@@ -1203,7 +915,6 @@ cliMain(int argc, const char *const *argv, std::ostream &out,
     std::string config_name = "baseline";
     bool config_flag = false;
     int cache_max_mb = -1;
-    std::string perf_out = "BENCH_fig10.json";
 
     for (int i = 1; i < argc; ++i) {
         std::string a = argv[i];
@@ -1299,8 +1010,6 @@ cliMain(int argc, const char *const *argv, std::ostream &out,
                 return 1;
             }
             setSchedulerMode(mode);
-        } else if (a.rfind("--perf-out=", 0) == 0) {
-            perf_out = valueOf("--perf-out=");
         } else if (!a.empty() && a[0] == '-') {
             err << "bwsim: unknown option '" << a << "'\n";
             printUsage(err);
@@ -1389,14 +1098,6 @@ cliMain(int argc, const char *const *argv, std::ostream &out,
         return runTraceTool(
             std::vector<std::string>(names.begin() + 1, names.end()),
             out, err);
-
-    if (std::find(names.begin(), names.end(), "perf") != names.end()) {
-        if (names.size() != 1) {
-            err << "bwsim: perf runs alone (it pins its own sweep)\n";
-            return 1;
-        }
-        return runPerf(perf_out, out, err);
-    }
 
     const bool housekeeping = cache_stats || cache_max_mb >= 0;
     if (names.empty() && !housekeeping) {

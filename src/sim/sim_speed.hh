@@ -11,8 +11,8 @@
  *
  * The telemetry aggregates core-cycles simulated, wall time and
  * ticked/skipped edge counts across every Gpu::run() in the process
- * (worker threads included), powering the --exec-stats report and the
- * `bwsim perf` harness.
+ * (worker threads included), powering the --exec-stats report, the
+ * Golden.WorkCounters snapshot and perfbench's sim.* metrics.
  */
 
 #ifndef BWSIM_SIM_SIM_SPEED_HH

@@ -71,6 +71,9 @@ TEST(Cli, UnknownExperimentExitsNonZero)
     // A bad name anywhere fails before any experiment runs.
     EXPECT_NE(runCli({"tab1", "nosuch"}, out, err), 0);
     EXPECT_EQ(out.find("Table I"), std::string::npos);
+    // Speed is measured by perfbench/, not by a bwsim experiment.
+    EXPECT_NE(runCli({"perf"}, out, err), 0);
+    EXPECT_NE(err.find("unknown experiment 'perf'"), std::string::npos);
 }
 
 TEST(Cli, UnknownOptionExitsNonZero)
@@ -347,8 +350,9 @@ TEST(Cli, JobsOptionsValidated)
 TEST(Cli, RemovedFanOutFlagsAreUnknownOptions)
 {
     // The fan-out flags are --jobs and --spool-dir; these are not.
-    for (const char *flag :
-         {"--shards=2", "--shard-id=0", "--backend=queue"}) {
+    // Nor does bwsim write a perf report (perfbench/ measures speed).
+    for (const char *flag : {"--shards=2", "--shard-id=0",
+                             "--backend=queue", "--perf-out=x"}) {
         std::string out, err;
         EXPECT_NE(runCli({"tab1", flag}, out, err), 0) << flag;
         EXPECT_NE(err.find("unknown option"), std::string::npos) << flag;

@@ -2,7 +2,8 @@
  * @file
  * Golden-result regression suite: checked-in TSV snapshots of the
  * Fig. 3 / 7 / 8 / 9 / 10 / 11 / 12 and Table II experiment tables
- * (under --shrink) are diffed exactly against fresh runs. Simulations
+ * (under --shrink) are diffed exactly against fresh runs, as are the
+ * skip scheduler's work counters on ten full-size sims. Simulations
  * are deterministic, so any byte of drift is a behaviour change in
  * the runner -- intentional changes are reblessed with
  * scripts/regen_golden.sh (which reruns this binary with
@@ -15,6 +16,8 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/experiments.hh"
 #include "gpu/gpu.hh"
@@ -64,29 +67,57 @@ goldenPath(const std::string &name)
     return std::string(BWSIM_GOLDEN_DIR) + "/" + name + ext;
 }
 
+/**
+ * Under BWSIM_REGEN_GOLDEN=1, rebless snapshot @p name with @p fresh
+ * and return false; otherwise load the checked-in snapshot into
+ * @p golden and return true (a missing file is a test failure).
+ */
+bool
+loadOrRegen(const std::string &name, const std::string &fresh,
+            std::string &golden)
+{
+    const std::string path = goldenPath(name);
+    if (std::getenv("BWSIM_REGEN_GOLDEN")) {
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        EXPECT_TRUE(bool(out << fresh)) << "cannot write " << path;
+        return false;
+    }
+    std::ifstream in(path, std::ios::binary);
+    if (!in) {
+        ADD_FAILURE()
+            << "missing golden file " << path
+            << " -- run scripts/regen_golden.sh to (re)bless snapshots";
+        return false;
+    }
+    golden.assign(std::istreambuf_iterator<char>(in),
+                  std::istreambuf_iterator<char>());
+    return true;
+}
+
 /** Compare @p fresh against the checked-in snapshot -- or, under
  *  BWSIM_REGEN_GOLDEN=1, rebless the snapshot instead. */
 void
 compareOrRegen(const std::string &name, const std::string &fresh)
 {
-    const std::string path = goldenPath(name);
-    if (std::getenv("BWSIM_REGEN_GOLDEN")) {
-        std::ofstream out(path, std::ios::binary | std::ios::trunc);
-        ASSERT_TRUE(bool(out)) << "cannot write " << path;
-        out << fresh;
+    std::string golden;
+    if (!loadOrRegen(name, fresh, golden))
         return;
-    }
-    std::ifstream in(path, std::ios::binary);
-    ASSERT_TRUE(bool(in))
-        << "missing golden file " << path
-        << " -- run scripts/regen_golden.sh to (re)bless snapshots";
-    std::string golden((std::istreambuf_iterator<char>(in)),
-                       std::istreambuf_iterator<char>());
     EXPECT_EQ(fresh, golden)
-        << "table drifted from " << path
+        << "table drifted from " << goldenPath(name)
         << " -- if the change is intentional, rebless with "
            "scripts/regen_golden.sh\n--- fresh ---\n"
         << fresh;
+}
+
+/** Fields of @p text split at @p sep (a trailing separator adds none). */
+std::vector<std::string>
+split(const std::string &text, char sep)
+{
+    std::vector<std::string> out;
+    std::istringstream is(text);
+    for (std::string field; std::getline(is, field, sep);)
+        out.push_back(field);
+    return out;
 }
 
 } // namespace
@@ -199,4 +230,73 @@ TEST(Golden, DumpStatsTraceReplayBothSchedulers)
     const std::string skip = dump(SchedulerMode::Skip);
     EXPECT_EQ(lockstep, skip);
     compareOrRegen("dump_stats_trace.txt", lockstep);
+}
+
+TEST(Golden, WorkCounters)
+{
+    // The skip scheduler's work on perfbench serial's ten sims at full
+    // size, one thread: a hard, host-independent speed guard. Skipped
+    // edges, elided core ticks and fused spans pin that skip mode still
+    // engages (above all on the pchase probe and the congested sims);
+    // core_cycles pins full-size timing. Every cell is compared on its
+    // own, so a drift names its sim and counter.
+    struct Sim
+    {
+        std::string name;
+        WorkloadSpec spec;
+        GpuConfig config;
+    };
+    std::vector<Sim> sims;
+    for (const char *bench : {"mm", "sc", "bfs", "lbm"}) {
+        const BenchmarkProfile *p = findBenchmark(bench);
+        ASSERT_NE(p, nullptr) << bench;
+        for (const GpuConfig &cfg :
+             {GpuConfig::baseline(), GpuConfig::scaledAll()})
+            sims.push_back({std::string(bench) + "-" + cfg.name, *p, cfg});
+    }
+    for (const auto &[name, form] :
+         {std::pair{"pchase64m", "pchase:64m"}, {"stride", "stride"}}) {
+        WorkloadSpec probe;
+        ASSERT_TRUE(parseGeneratorForm(form, probe)) << form;
+        sims.push_back({std::string(name) + "-baseline", probe,
+                        GpuConfig::baseline()});
+    }
+
+    const SchedulerMode saved = schedulerMode();
+    setSchedulerMode(SchedulerMode::Skip);
+    std::ostringstream os;
+    os << "sim\tcore_cycles\tticked_edges\tskipped_edges\tfused_spans"
+          "\tfused_cycles\tcore_elided_ticks\n";
+    for (const Sim &s : sims) {
+        const SimSpeedTotals a = simSpeedTotals();
+        Gpu(s.config, s.spec).run();
+        const SimSpeedTotals b = simSpeedTotals();
+        os << s.name << '\t' << b.coreCycles - a.coreCycles << '\t'
+           << b.tickedEdges - a.tickedEdges << '\t'
+           << b.skippedEdges - a.skippedEdges << '\t'
+           << b.fusedSpans - a.fusedSpans << '\t'
+           << b.fusedCycles - a.fusedCycles << '\t'
+           << b.coreElidedTicks - a.coreElidedTicks << '\n';
+    }
+    setSchedulerMode(saved);
+
+    std::string golden;
+    if (!loadOrRegen("work_counters", os.str(), golden))
+        return;
+    const auto fresh_rows = split(os.str(), '\n');
+    const auto golden_rows = split(golden, '\n');
+    ASSERT_EQ(fresh_rows.size(), golden_rows.size())
+        << "work_counters.tsv has a different set of sims -- if "
+           "intentional, rebless with scripts/regen_golden.sh";
+    const auto columns = split(fresh_rows[0], '\t');
+    for (std::size_t r = 0; r < fresh_rows.size(); ++r) {
+        const auto fresh = split(fresh_rows[r], '\t');
+        const auto want = split(golden_rows[r], '\t');
+        ASSERT_EQ(fresh.size(), want.size()) << "row " << r;
+        for (std::size_t c = 0; c < fresh.size(); ++c)
+            EXPECT_EQ(fresh[c], want[c])
+                << fresh[0] << " " << columns[c]
+                << " drifted from work_counters.tsv -- if intentional, "
+                   "rebless with scripts/regen_golden.sh";
+    }
 }

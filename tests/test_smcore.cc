@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <deque>
+#include <sstream>
 
 #include "smcore/sm_core.hh"
+#include "stats/stat.hh"
 
 using namespace bwsim;
 
@@ -15,11 +17,12 @@ namespace
 class ScriptedCursor final : public TraceCursor
 {
   public:
-    explicit ScriptedCursor(std::vector<WarpInstData> insts)
-        : script(std::move(insts))
+    explicit ScriptedCursor(std::vector<WarpInstData> insts,
+                            Addr base = 0x1000)
+        : script(std::move(insts)), base(base)
     {
         for (std::size_t i = 0; i < script.size(); ++i)
-            script[i].pc = 0x1000 + i * 8;
+            script[i].pc = base + i * 8;
     }
 
     bool
@@ -31,20 +34,26 @@ class ScriptedCursor final : public TraceCursor
         return true;
     }
 
-    Addr nextPc() const override { return 0x1000 + idx * 8; }
+    Addr nextPc() const override { return base + idx * 8; }
     bool done() const override { return idx >= script.size(); }
 
   private:
     std::vector<WarpInstData> script;
+    Addr base;
     std::size_t idx = 0;
 };
 
-/** Hands out one CTA per take, each warp running the same script. */
+/**
+ * Hands out one CTA per take, each warp running the same script; warp
+ * w's code sits at 0x1000 + w * @p pc_stride (0: all warps share it).
+ */
 class ScriptSource final : public WorkSource
 {
   public:
-    ScriptSource(std::vector<WarpInstData> insts, int ctas, int warps)
-        : script(std::move(insts)), ctasLeft(ctas), warpsPerCta(warps)
+    ScriptSource(std::vector<WarpInstData> insts, int ctas, int warps,
+                 Addr pc_stride = 0)
+        : script(std::move(insts)), ctasLeft(ctas), warpsPerCta(warps),
+          pcStride(pc_stride)
     {
     }
 
@@ -57,8 +66,10 @@ class ScriptSource final : public WorkSource
         CtaWork w;
         w.numWarps = warpsPerCta;
         auto s = script;
-        w.makeCursor = [s](int) {
-            return std::make_unique<ScriptedCursor>(s);
+        Addr stride = pcStride;
+        w.makeCursor = [s, stride](int warp) {
+            return std::make_unique<ScriptedCursor>(
+                s, 0x1000 + Addr(warp) * stride);
         };
         return w;
     }
@@ -67,6 +78,7 @@ class ScriptSource final : public WorkSource
     std::vector<WarpInstData> script;
     int ctasLeft;
     int warpsPerCta;
+    Addr pcStride;
 };
 
 WarpInstData
@@ -150,6 +162,86 @@ runUntilDone(SmCore &core, MemServer &server, int max_cycles = 50000)
         ++cycles;
     }
     return cycles;
+}
+
+/** A core with its own allocator, memory server and stats tree. */
+struct DrivenCore
+{
+    ScriptSource src;
+    MemFetchAllocator alloc;
+    SmCore core;
+    MemServer server;
+    stats::Group root{"core"};
+
+    DrivenCore(const std::vector<WarpInstData> &prog, int warps,
+               Addr pc_stride, const CoreParams &p, int latency)
+        : src(prog, 1, warps, pc_stride), core(p, &alloc),
+          server{{}, &alloc, latency}
+    {
+        core.setWorkSource(&src);
+        core.registerStats(root);
+    }
+
+    void
+    step()
+    {
+        core.tick(0.0);
+        server.tick(core);
+    }
+
+    std::string
+    dump() const
+    {
+        std::ostringstream os;
+        root.dump(os);
+        return os.str();
+    }
+};
+
+/**
+ * Per-core elision's invariant: on a span where quiesceHorizon() >= n,
+ * n rounds of `quiesceHorizon(); skipCycles(1)` (what Gpu::coreTick
+ * does for a quiescent core inside an executed core edge) leave the
+ * core exactly as one skipCycles(n) does. Drives two identical cores
+ * in step and integrates every such span both ways, until one of them
+ * replays memoized stalls of the L1I (@p fetch) or the L1D; then
+ * requires equal stats trees and equal runs to completion.
+ */
+void
+expectElisionMatchesBulkSkip(const std::vector<WarpInstData> &prog,
+                             int warps, Addr pc_stride, const CoreParams &p,
+                             int latency, std::uint64_t n, bool fetch)
+{
+    DrivenCore bulk(prog, warps, pc_stride, p, latency);
+    DrivenCore elided(prog, warps, pc_stride, p, latency);
+    auto stalls = [fetch](const SmCore &c) {
+        return (fetch ? c.l1i() : c.l1d()).counters().totalStallCycles();
+    };
+    bool covered = false;
+    for (int cycle = 0; !covered && !bulk.core.done() && cycle < 50000;
+         ++cycle) {
+        bulk.step();
+        elided.step();
+        const std::uint64_t h = bulk.core.quiesceHorizon();
+        ASSERT_EQ(h, elided.core.quiesceHorizon());
+        if (h < n)
+            continue;
+        const std::uint64_t stalls0 = stalls(bulk.core);
+        bulk.core.skipCycles(n);
+        for (std::uint64_t i = 0; i < n; ++i) {
+            ASSERT_GT(elided.core.quiesceHorizon(), 0u);
+            elided.core.skipCycles(1);
+        }
+        ASSERT_EQ(bulk.dump(), elided.dump()) << "after cycle " << cycle;
+        covered = stalls(bulk.core) >= stalls0 + n;
+    }
+    ASSERT_TRUE(covered) << "no span replayed memoized "
+                         << (fetch ? "L1I" : "L1D") << " stalls";
+    EXPECT_EQ(runUntilDone(bulk.core, bulk.server),
+              runUntilDone(elided.core, elided.server));
+    EXPECT_TRUE(bulk.core.done());
+    EXPECT_EQ(bulk.dump(), elided.dump());
+    EXPECT_EQ(elided.core.checkConsistency(), "");
 }
 
 } // namespace
@@ -360,4 +452,33 @@ TEST(SmCore, DoneRequiresDrainedPipes)
     MemServer server{{}, &alloc, 1};
     runUntilDone(core, server);
     EXPECT_TRUE(core.done());
+}
+
+TEST(SmCore, ElidedSingleSkipsMatchBulkSkip)
+{
+    // Memoized L1D stall: divergent loads clog the four L1D MSHRs, so
+    // the oldest LSU access replays a memoized MSHR-full stall.
+    std::vector<WarpInstData> loads;
+    for (int i = 0; i < 6; ++i) {
+        WarpInstData ld;
+        ld.op = Op::Load;
+        ld.dest = 2 + i;
+        for (int k = 0; k < 4; ++k)
+            ld.lineAddrs.push_back(Addr(0x100000) * (1 + i) +
+                                   Addr(k) * 4224);
+        loads.push_back(ld);
+    }
+    expectElisionMatchesBulkSkip(loads, 8, 0, testCore(), 150, 13,
+                                 false);
+
+    // Fetch rotation: eight warps on distinct code lines miss a
+    // one-set L1I; the four that find its MSHRs full replay memoized
+    // stalls in round-robin order, over a span (7) that is not a
+    // multiple of the rotation length.
+    std::vector<WarpInstData> alus;
+    for (int i = 0; i < 64; ++i)
+        alus.push_back(alu(2 + i % 8));
+    CoreParams p = testCore();
+    p.l1i.sizeBytes = 512;
+    expectElisionMatchesBulkSkip(alus, 8, 0x10000, p, 100, 7, true);
 }
