@@ -36,13 +36,14 @@ asan() {
 }
 
 # Scheduler parity at full size: --dump-stats must be byte-identical
-# under lockstep and skip, where skip also elides quiescent cores inside
-# executed core edges. One sim per memory system the elision proof
-# consults: the crossbar (baseline), ideal pipes (P-inf) and bypassed
-# L1 replies (L1-bypass).
+# under lockstep and skip, where skip also puts quiescent cores to
+# sleep inside executed core edges. One sim per memory system the
+# sleep proof consults: the crossbar (baseline), ideal pipes (P-inf)
+# and bypassed L1 replies (L1-bypass); plus lbm on All, whose 48 L2
+# banks and 4x MSHR tables stress the flat MSHR index.
 scheduler_parity() {
     parity_tmp=$(mktemp -d)
-    for run in bfs@baseline sc@P-inf mm@L1-bypass; do
+    for run in bfs@baseline sc@P-inf mm@L1-bypass lbm@All; do
         for sched in lockstep skip; do
             ./build/bwsim --dump-stats --benches="${run%@*}" \
                 --config="${run#*@}" --scheduler="$sched" \

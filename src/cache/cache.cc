@@ -464,14 +464,12 @@ CacheModel::fill(MemFetch *mf, Cycle now, double now_ps,
     if (portCyclesPerLine)
         portFreeAt = std::max(portFreeAt, now) + portCyclesPerLine;
 
-    std::vector<MshrWaiter> waiters;
-    waiters.reserve(n_waiters);
-    mshr.fill(line, waiters);
-
     if (is_l2) {
+        fillWaiters.clear();
+        mshr.fill(line, fillWaiters);
         bool mf_is_waiter = false;
         Cycle when = now + cfg.hitLatency;
-        for (auto &w : waiters) {
+        for (auto &w : fillWaiters) {
             bwsim_assert(w.mf, "L2 MSHR waiter without a packet");
             w.mf->tL2Done = now_ps;
             bool ok = respQ.push(w.mf, when);
@@ -483,8 +481,7 @@ CacheModel::fill(MemFetch *mf, Cycle now, double now_ps,
         if (!mf_is_waiter)
             alloc->free(mf); // an L2-generated fetch (write allocate)
     } else {
-        for (auto &w : waiters)
-            woken.push_back(w);
+        mshr.fill(line, woken);
     }
     return true;
 }

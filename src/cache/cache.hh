@@ -325,6 +325,8 @@ class CacheModel
     MshrTable mshr;
     BoundedQueue<MemFetch *> missQ;
     TimedQueue<MemFetch *> respQ;
+    /** fill()'s L2 waiter list, reused so a fill allocates nothing. */
+    std::vector<MshrWaiter> fillWaiters;
     Cycle portFreeAt = 0;
     std::uint32_t portCyclesPerLine;
     std::uint64_t ver = 0;

@@ -22,6 +22,12 @@ Gpu::Gpu(const GpuConfig &config, const WorkloadSpec &workload)
                  cfg.maxWarpsPerCore);
 
     ctasRemaining = prof.numCtas;
+    bwsim_assert(cfg.numCores <= 64,
+                 "config '%s': the core sleep set supports at most 64 "
+                 "cores",
+                 cfg.name.c_str());
+    allCoresMask = ~std::uint64_t(0) >> (64 - cfg.numCores);
+    sleepRec.resize(static_cast<std::size_t>(cfg.numCores));
 
     for (int c = 0; c < cfg.numCores; ++c) {
         CoreParams cp = cfg.coreParams(c);
@@ -155,21 +161,64 @@ Gpu::coreTick()
 {
     const std::uint64_t pre_cycle = coreCycleCount++;
     double now_ps = clocks.nowPs();
-    // Under the skip scheduler a core whose own tick is provably
-    // integrable is charged one skipped cycle instead of ticking, even
-    // when the rest of the chip keeps this edge busy. Lockstep ticks
-    // every core: it is the oracle this elision is checked against.
     const bool elide = schedulerMode() == SchedulerMode::Skip;
-    for (int c = 0; c < cfg.numCores; ++c) {
-        if (elide && coreIdleHorizon(c, pre_cycle) > 0) {
-            cores[c]->skipCycles(1);
-            ++coreElidedTicks;
-            continue;
+    if (sleeping) {
+        std::uint64_t wake = sleeping & memSys->coreWakeMask(needsPort);
+        for (std::uint64_t m = sleeping & ~wake; m; m &= m - 1) {
+            const int c = __builtin_ctzll(m);
+            if (sleepRec[c].wakeAt <= pre_cycle)
+                wake |= std::uint64_t(1) << c;
+        }
+        for (; wake; wake &= wake - 1)
+            wakeCore(__builtin_ctzll(wake), pre_cycle);
+    }
+    // Ascending order over the awake cores is the lockstep core order:
+    // a sleeper's proof cannot be changed by another core's tick.
+    for (std::uint64_t m = allCoresMask & ~sleeping; m; m &= m - 1) {
+        const int c = __builtin_ctzll(m);
+        if (elide) {
+            const std::uint64_t h = coreIdleHorizon(c, pre_cycle);
+            if (h > 0) {
+                sleepCore(c, pre_cycle, h);
+                continue;
+            }
         }
         memSys->deliverResponses(c, *cores[c], now_ps, coreCycleCount);
         cores[c]->tick(now_ps);
         memSys->acceptRequests(c, *cores[c], now_ps, coreCycleCount);
     }
+    ++coreEdges;
+}
+
+void
+Gpu::sleepCore(int c, std::uint64_t pre, std::uint64_t h)
+{
+    const std::uint64_t bit = std::uint64_t(1) << c;
+    SleepRecord &r = sleepRec[c];
+    r.sleptAt = pre;
+    r.sleptEdge = coreEdges;
+    r.wakeAt = h > kInfiniteHorizon - pre ? kInfiniteHorizon : pre + h;
+    sleeping |= bit;
+    // Asleep with an outgoing miss means the request port is blocked.
+    needsPort = cores[c]->hasOutgoing() ? needsPort | bit
+                                        : needsPort & ~bit;
+    fuses = cores[c]->skipFuses() ? fuses | bit : fuses & ~bit;
+}
+
+void
+Gpu::wakeCore(int c, std::uint64_t now_cycle)
+{
+    const SleepRecord &r = sleepRec[c];
+    cores[c]->skipCycles(now_cycle - r.sleptAt);
+    coreElidedTicks += coreEdges - r.sleptEdge;
+    sleeping &= ~(std::uint64_t(1) << c);
+}
+
+void
+Gpu::wakeAllCores()
+{
+    for (std::uint64_t m = sleeping; m; m &= m - 1)
+        wakeCore(__builtin_ctzll(m), coreCycleCount);
 }
 
 std::uint64_t
@@ -195,8 +244,19 @@ std::uint64_t
 Gpu::coreQuiesceHorizon()
 {
     std::uint64_t h = kInfiniteHorizon;
-    for (int c = 0; c < cfg.numCores && h > 0; ++c)
-        h = std::min(h, coreIdleHorizon(c, coreCycleCount));
+    if (sleeping) {
+        if (sleeping & memSys->coreWakeMask(needsPort))
+            return 0;
+        for (std::uint64_t m = sleeping; m; m &= m - 1) {
+            const std::uint64_t at = sleepRec[__builtin_ctzll(m)].wakeAt;
+            if (at != kInfiniteHorizon)
+                h = std::min(h, at > coreCycleCount ? at - coreCycleCount
+                                                    : std::uint64_t(0));
+        }
+    }
+    for (std::uint64_t m = allCoresMask & ~sleeping; m && h > 0;
+         m &= m - 1)
+        h = std::min(h, coreIdleHorizon(__builtin_ctzll(m), coreCycleCount));
     return h;
 }
 
@@ -204,9 +264,9 @@ void
 Gpu::coreSkip(std::uint64_t n)
 {
     coreCycleCount += n;
-    bool fused = false;
-    for (int c = 0; c < cfg.numCores; ++c)
-        fused |= cores[c]->skipCycles(n);
+    bool fused = (sleeping & fuses) != 0;
+    for (std::uint64_t m = allCoresMask & ~sleeping; m; m &= m - 1)
+        fused |= cores[__builtin_ctzll(m)]->skipCycles(n);
     if (fused)
         recordFusedSpan(n);
 }
@@ -230,6 +290,7 @@ Gpu::runCycles(std::uint64_t core_cycles)
     std::uint64_t target = coreCycleCount + core_cycles;
     while (coreCycleCount < target)
         clocks.step();
+    wakeAllCores();
 }
 
 SimResult
@@ -262,6 +323,7 @@ Gpu::run()
                 clocks.step();
         }
     }
+    wakeAllCores();
 
     const auto wall_ns =
         std::chrono::duration_cast<std::chrono::nanoseconds>(

@@ -74,7 +74,12 @@ class Gpu : public WorkSource
     Interconnect *interconnect() { return memSys->interconnect(); }
     const MemFetchAllocator &allocator() const { return alloc; }
     std::uint64_t coreCycles() const { return coreCycleCount; }
-    /** Core ticks replaced by skipCycles(1) inside executed edges. */
+    /**
+     * Per-core ticks the skip scheduler elided inside executed core
+     * edges: summed over cores, the executed edges each core slept
+     * through (see coreTick). Complete whenever run() or runCycles()
+     * has returned.
+     */
     std::uint64_t elidedCoreTicks() const { return coreElidedTicks; }
     bool allWorkDone() const;
     SimResult harvest() const;
@@ -89,6 +94,14 @@ class Gpu : public WorkSource
     /**@}*/
 
   private:
+    /**
+     * One core edge. Under the skip scheduler, a core whose
+     * coreIdleHorizon is positive goes to sleep instead of ticking and
+     * stays asleep, untouched, until its horizon runs out or the
+     * MemSystem's wake mask flags it; only awake cores are visited.
+     * Lockstep ticks every core: it is the oracle this is checked
+     * against.
+     */
     void coreTick();
     /**
      * Per-core quiescence proof: edges for which core @p c needs no
@@ -99,14 +112,53 @@ class Gpu : public WorkSource
      * keys its pipes on.
      */
     std::uint64_t coreIdleHorizon(int c, std::uint64_t pre_cycle);
-    /** Core-domain quiescence horizon (min of coreIdleHorizon). */
+    /**
+     * Core-domain quiescence horizon: the min of the awake cores'
+     * coreIdleHorizon and the sleepers' remaining time to wakeAt; 0
+     * when the wake mask flags a sleeper.
+     */
     std::uint64_t coreQuiesceHorizon();
     /**
-     * Integrate a skipped core-domain span into every core; a span in
-     * which any core replays a memoized stall is the process's one
+     * Integrate a skipped core-domain span into every awake core
+     * (sleepers are charged when they wake); a span in which any core,
+     * awake or asleep, replays a memoized stall is the process's one
      * source of fused spans (recordFusedSpan).
      */
     void coreSkip(std::uint64_t n);
+
+    /**
+     * @name Core sleep set (skip scheduler only)
+     *
+     * A sleeping core's state is frozen: nothing but its own tick and
+     * response delivery changes what its idle proof reads, except the
+     * port and reply events the wake mask reports. So every edge it
+     * sleeps through would have been one skipCycles(1), and waking it
+     * with one skipCycles(n) charges exactly the same (the equality
+     * SmCore.ElidedSingleSkipsMatchBulkSkip pins).
+     */
+    /**@{*/
+    /** Put core @p c to sleep at the edge with pre-cycle @p pre, for
+     *  an idle horizon of @p h > 0 edges. */
+    void sleepCore(int c, std::uint64_t pre, std::uint64_t h);
+    /** Wake core @p c, charging the cycles up to @p now_cycle. */
+    void wakeCore(int c, std::uint64_t now_cycle);
+    /** Wake every sleeper (before any stats are read). */
+    void wakeAllCores();
+
+    struct SleepRecord
+    {
+        std::uint64_t sleptAt = 0;   ///< pre-cycle of the first slept edge
+        std::uint64_t sleptEdge = 0; ///< coreEdges at that edge
+        std::uint64_t wakeAt = 0;    ///< pre-cycle it must tick at
+    };
+    std::vector<SleepRecord> sleepRec; ///< per core
+    std::uint64_t allCoresMask = 0;
+    std::uint64_t sleeping = 0;  ///< bit c: core c asleep
+    std::uint64_t needsPort = 0; ///< sleepers with a blocked outgoing miss
+    std::uint64_t fuses = 0;     ///< sleepers replaying a memoized stall
+    /** Executed core edges (coreTick calls) so far. */
+    std::uint64_t coreEdges = 0;
+    /**@}*/
 
     /**
      * Per-domain tick-cost telemetry (--profile-ticks). Slots are
@@ -139,7 +191,7 @@ class Gpu : public WorkSource
     MultiClock clocks;
     std::size_t coreDomain = 0, icntDomain = 0, dramDomain = 0;
     std::uint64_t coreCycleCount = 0;
-    /** Core ticks replaced by skipCycles(1) inside executed edges. */
+    /** See elidedCoreTicks(). */
     std::uint64_t coreElidedTicks = 0;
 
     /** Root of the stats tree; components register into it below. */

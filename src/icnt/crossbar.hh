@@ -105,6 +105,14 @@ class CrossbarNetwork
     MemFetch *ejectPop(std::uint32_t dst);
     /**@}*/
 
+    /** @name Port-state bitmasks (the Gpu's core wake set reads them) */
+    /**@{*/
+    /** Bit d set iff destination d's ejection queue holds a packet. */
+    std::uint64_t ejectReadyMask() const { return ejReadyMask; }
+    /** Bit s set iff source s's injection queue is full. */
+    std::uint64_t injFullMask() const { return injFull; }
+    /**@}*/
+
     /** Total packets resident anywhere in this network (for drains). */
     std::size_t packetsInFlight() const;
 
@@ -168,6 +176,8 @@ class CrossbarNetwork
     std::uint64_t wantedDests = 0;
     std::uint64_t grantMask = 0;
     std::uint64_t transitMask = 0;
+    std::uint64_t ejReadyMask = 0; ///< non-empty ejection queues
+    std::uint64_t injFull = 0;     ///< full injection queues
     void headArrived(std::uint32_t src);
     void headConsumed(std::uint32_t src, std::uint32_t dst);
     /**@}*/

@@ -17,12 +17,13 @@
 #define BWSIM_MEM_MEM_FETCH_HH
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common/log.hh"
 #include "common/types.hh"
+#include "sim/queue.hh"
 
 namespace bwsim
 {
@@ -164,8 +165,9 @@ class MemFetchAllocator
     std::uint64_t outstanding() const { return numAlloc - numFree; }
 
   private:
-    std::deque<std::unique_ptr<MemFetch>> pool;
-    std::deque<MemFetch *> freeList;
+    std::vector<std::unique_ptr<MemFetch>> pool;
+    /** Freed packets, reused oldest first. */
+    RingBuffer<MemFetch *> freeList;
     std::uint64_t numAlloc = 0;
     std::uint64_t numFree = 0;
     std::uint64_t nextId = 1;

@@ -197,6 +197,13 @@ NormalMemSystem::requestPortBlocked(int core_id) const
 }
 
 std::uint64_t
+NormalMemSystem::coreWakeMask(std::uint64_t needs_port) const
+{
+    return icnt->reply().ejectReadyMask() |
+           (needs_port & ~icnt->request().injFullMask());
+}
+
+std::uint64_t
 NormalMemSystem::icntHorizon() const
 {
     std::uint64_t h = icnt->horizon();

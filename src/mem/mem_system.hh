@@ -107,6 +107,22 @@ class MemSystem
         (void)core_id;
         return false;
     }
+    /**
+     * The Gpu's core wake set: bit c is set iff a sleeping core c must
+     * wake because this system now has something for it (a reply its
+     * coreHorizon would deliver at once) or, for the cores flagged in
+     * @p needs_port (a blocked outgoing miss), because its request port
+     * has freed. Both only change in icnt ticks and in core c's own
+     * deliver/accept calls. Maturities keyed on the core cycle are not
+     * in the mask: they are already in the sleeper's wake time. The
+     * conservative default wakes every sleeper.
+     */
+    virtual std::uint64_t
+    coreWakeMask(std::uint64_t needs_port) const
+    {
+        (void)needs_port;
+        return ~std::uint64_t(0);
+    }
     virtual std::uint64_t icntHorizon() const { return 0; }
     virtual std::uint64_t dramHorizon() const { return 0; }
     virtual void icntSkip(std::uint64_t n) { (void)n; }
@@ -145,6 +161,7 @@ class NormalMemSystem : public MemSystem
     std::uint64_t coreHorizon(int core_id,
                               std::uint64_t core_cycle) const override;
     bool requestPortBlocked(int core_id) const override;
+    std::uint64_t coreWakeMask(std::uint64_t needs_port) const override;
     std::uint64_t icntHorizon() const override;
     std::uint64_t dramHorizon() const override;
     void icntSkip(std::uint64_t n) override;
@@ -195,6 +212,8 @@ class IdealMemSystem : public MemSystem
     /** Icnt/DRAM ticks are empty here: every edge is skippable. */
     std::uint64_t coreHorizon(int core_id,
                               std::uint64_t core_cycle) const override;
+    /** Pipe maturities are the only wake events, and they are timed. */
+    std::uint64_t coreWakeMask(std::uint64_t) const override { return 0; }
     std::uint64_t icntHorizon() const override { return kInfiniteHorizon; }
     std::uint64_t dramHorizon() const override { return kInfiniteHorizon; }
     void icntSkip(std::uint64_t) override {}

@@ -7,14 +7,20 @@
  * back-pressure. TimedQueue additionally enforces a minimum residency
  * (pipeline latency) before an entry may be popped. Both expose their
  * occupancy so congestion monitors can build usage-lifetime histograms.
+ *
+ * All of them keep their entries in a RingBuffer: one power-of-two
+ * circular array that is allocated once and then reused, so pushing
+ * and popping the millions of packets a congested run moves never
+ * touches the heap.
  */
 
 #ifndef BWSIM_SIM_QUEUE_HH
 #define BWSIM_SIM_QUEUE_HH
 
-#include <deque>
-#include <limits>
+#include <algorithm>
+#include <cstddef>
 #include <utility>
+#include <vector>
 
 #include "common/log.hh"
 #include "common/types.hh"
@@ -22,12 +28,100 @@
 namespace bwsim
 {
 
+/**
+ * A FIFO over a power-of-two circular array. The array doubles when a
+ * push finds it full and never shrinks; popped slots keep their
+ * moved-from values until overwritten (so element types with heap
+ * storage, such as vectors, keep their capacity for reuse).
+ */
+template <typename T>
+class RingBuffer
+{
+  public:
+    /** Preallocate room for @p min_capacity entries (0: grow lazily). */
+    explicit RingBuffer(std::size_t min_capacity = 0)
+    {
+        if (min_capacity)
+            resize(ceilPow2(min_capacity));
+    }
+
+    bool empty() const { return count == 0; }
+    std::size_t size() const { return count; }
+    /** Entries the current array holds before it must grow. */
+    std::size_t slots() const { return buf.size(); }
+
+    T &front() { return buf[head]; }
+    const T &front() const { return buf[head]; }
+    T &back() { return buf[(head + count - 1) & mask]; }
+
+    void
+    push_back(T v)
+    {
+        if (count == buf.size())
+            resize(buf.empty() ? 4 : 2 * buf.size());
+        buf[(head + count) & mask] = std::move(v);
+        ++count;
+    }
+
+    void
+    pop_front()
+    {
+        head = (head + 1) & mask;
+        --count;
+    }
+
+    void
+    clear()
+    {
+        head = 0;
+        count = 0;
+    }
+
+  private:
+    static std::size_t
+    ceilPow2(std::size_t n)
+    {
+        std::size_t p = 1;
+        while (p < n)
+            p <<= 1;
+        return p;
+    }
+
+    /** Re-home the live entries at index 0 of a @p n-slot array. */
+    void
+    resize(std::size_t n)
+    {
+        std::vector<T> next(n);
+        for (std::size_t i = 0; i < count; ++i)
+            next[i] = std::move(buf[(head + i) & mask]);
+        buf = std::move(next);
+        head = 0;
+        mask = n - 1;
+    }
+
+    std::vector<T> buf;
+    std::size_t head = 0;
+    std::size_t count = 0;
+    std::size_t mask = 0;
+};
+
+/**
+ * Ring slots a bounded queue preallocates: its capacity, up to a cap
+ * so that a huge configured capacity costs memory only as it fills.
+ */
+inline std::size_t
+boundedQueuePrealloc(std::size_t capacity)
+{
+    return std::min<std::size_t>(capacity, 4096);
+}
+
 /** A finite FIFO; push fails (returns false) when full. */
 template <typename T>
 class BoundedQueue
 {
   public:
-    explicit BoundedQueue(std::size_t capacity) : cap(capacity)
+    explicit BoundedQueue(std::size_t capacity)
+        : cap(capacity), q(boundedQueuePrealloc(capacity))
     {
         bwsim_assert(capacity > 0, "queue capacity must be positive");
     }
@@ -61,14 +155,9 @@ class BoundedQueue
         return v;
     }
 
-    auto begin() { return q.begin(); }
-    auto end() { return q.end(); }
-    auto begin() const { return q.begin(); }
-    auto end() const { return q.end(); }
-
   private:
     std::size_t cap;
-    std::deque<T> q;
+    RingBuffer<T> q;
 };
 
 /**
@@ -80,7 +169,8 @@ template <typename T>
 class TimedQueue
 {
   public:
-    explicit TimedQueue(std::size_t capacity) : cap(capacity)
+    explicit TimedQueue(std::size_t capacity)
+        : cap(capacity), q(boundedQueuePrealloc(capacity))
     {
         bwsim_assert(capacity > 0, "queue capacity must be positive");
     }
@@ -100,7 +190,7 @@ class TimedQueue
         // semantics while allowing out-of-order push deadlines.
         if (!q.empty() && q.back().second > ready)
             ready = q.back().second;
-        q.emplace_back(std::move(v), ready);
+        q.push_back({std::move(v), ready});
         return true;
     }
 
@@ -124,14 +214,9 @@ class TimedQueue
         return v;
     }
 
-    auto begin() { return q.begin(); }
-    auto end() { return q.end(); }
-    auto begin() const { return q.begin(); }
-    auto end() const { return q.end(); }
-
   private:
     std::size_t cap;
-    std::deque<std::pair<T, Cycle>> q;
+    RingBuffer<std::pair<T, Cycle>> q;
 };
 
 /** An unbounded delay pipe: entries emerge after a per-entry latency. */
@@ -148,7 +233,7 @@ class DelayPipe
         // See TimedQueue::push: clamp to preserve FIFO pop order.
         if (!q.empty() && q.back().second > ready)
             ready = q.back().second;
-        q.emplace_back(std::move(v), ready);
+        q.push_back({std::move(v), ready});
     }
 
     bool
@@ -171,7 +256,7 @@ class DelayPipe
     }
 
   private:
-    std::deque<std::pair<T, Cycle>> q;
+    RingBuffer<std::pair<T, Cycle>> q;
 };
 
 } // namespace bwsim

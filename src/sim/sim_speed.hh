@@ -60,10 +60,11 @@ struct SimSpeedTotals
     std::uint64_t fusedSpans = 0;
     std::uint64_t fusedCycles = 0;
     /**
-     * Per-core ticks the skip scheduler replaced by a one-cycle
-     * integration inside an executed core edge (the core was provably
-     * quiescent while others kept the edge busy). A speed counter
-     * only: it never enters SimResult or the default stats tree.
+     * Per-core ticks the skip scheduler elided inside executed core
+     * edges: summed over cores, the executed core edges each core
+     * slept through (it was provably quiescent while others kept the
+     * edge busy; Gpu::coreTick). A speed counter only: it never
+     * enters SimResult or the default stats tree.
      */
     std::uint64_t coreElidedTicks = 0;
     std::uint64_t wallNanos = 0;

@@ -417,7 +417,7 @@ SmCore::issueStage()
 bool
 SmCore::tryIssue(int w)
 {
-    // Hazard checks run on the compact head mirror; the deque is only
+    // Hazard checks run on the compact head mirror; the I-buffer is only
     // touched when the instruction actually issues.
     Op op = static_cast<Op>(headOp[w]);
     bool is_mem = (op == Op::Load || op == Op::Store);
@@ -789,8 +789,7 @@ SmCore::integrateFetchRotation(std::uint64_t n)
     // past it. With eligibility frozen, the visit sequence walks the
     // eligible set in circular ascending order, so warp i of the
     // rotation gets floor(n/m) or ceil(n/m) replayed stalls. One cycle
-    // (a core elided inside an executed edge) is just fetchStage()'s
-    // pick.
+    // is just fetchStage()'s pick.
     if (n == 1) {
         int w = nextFetchWarp();
         l1iCache->countStall(
@@ -837,18 +836,13 @@ SmCore::skipCycles(std::uint64_t n)
     // have changed since (skips are flushed before any tick at the
     // next executed instant), so re-deriving from live state replays
     // exactly what n lockstep ticks would have counted.
-    bool fused = false;
-    if (lsuOldest >= 0) {
+    if (lsuOldest >= 0)
         l1dCache->countStalls(memRetryCause, n);
-        fused = true;
-    }
-    if (fetchEligible != 0) {
+    if (fetchEligible != 0)
         integrateFetchRotation(n);
-        fused = true;
-    }
     if (qhValid && qhCache != kInfiniteHorizon)
         qhCache = qhCache > n ? qhCache - n : 0;
-    return fused;
+    return skipFuses();
 }
 
 bool
@@ -913,11 +907,11 @@ SmCore::deliverResponse(MemFetch *mf, double now_ps)
         return;
     }
 
-    std::vector<MshrWaiter> woken;
+    fillWoken.clear();
     CacheModel &target = mf->isInstFetch() ? *l1iCache : *l1dCache;
-    bool ok = target.fill(mf, cycle, now_ps, woken);
+    bool ok = target.fill(mf, cycle, now_ps, fillWoken);
     bwsim_assert(ok, "L1 fill refused (L1s have no response queue)");
-    for (const auto &w : woken) {
+    for (const auto &w : fillWoken) {
         if (w.isInstFetch) {
             bwsim_assert(wflags[w.warpId] & WfWaitingIFetch,
                          "I-fetch wake for a warp that is not waiting");

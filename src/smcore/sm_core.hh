@@ -33,7 +33,6 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
@@ -199,6 +198,10 @@ class SmCore
      */
     bool skipCycles(std::uint64_t n);
 
+    /** What skipCycles() would return right now: a memoized L1D or
+     *  L1I stall is being replayed. */
+    bool skipFuses() const { return lsuOldest >= 0 || fetchEligible != 0; }
+
     /** All CTAs issued to this core have retired and pipes are empty. */
     bool done() const;
 
@@ -223,7 +226,7 @@ class SmCore
      * Consistency check for tests: recompute every incrementally
      * maintained per-warp mask (hazardFree, blockedMem, blockedAlu,
      * retireReady and the fetch/unfetched/pending masks) and the cached
-     * oldest LSU slot from the primary state -- I-buffer deques,
+     * oldest LSU slot from the primary state -- I-buffers,
      * scoreboard, pending memory ops, LSU slots. Returns "" when all
      * agree, else a description of the first mismatch.
      */
@@ -233,7 +236,7 @@ class SmCore
     struct Warp
     {
         std::unique_ptr<TraceCursor> cursor;
-        std::deque<WarpInstData> ibuf;
+        RingBuffer<WarpInstData> ibuf;
         int ctaSlot = -1;
         std::uint64_t age = 0;
     };
@@ -318,7 +321,7 @@ class SmCore
     std::vector<std::uint8_t> wflags;  ///< WarpFlag bits per warp
     std::vector<std::uint8_t> ibufCnt; ///< mirrors warps[w].ibuf.size()
     /** Compact copy of each warp's I-buffer head (valid iff ibufCnt>0):
-     *  the issue scan never touches the deque until it issues. */
+     *  the issue scan never touches the I-buffer until it issues. */
     std::vector<std::uint8_t> headOp;
     std::vector<std::int16_t> headDest;
     std::vector<std::int16_t> headSrc;
@@ -424,6 +427,10 @@ class SmCore
     std::vector<std::uint64_t> fetchMemoVer;
     std::vector<std::uint8_t> fetchMemoCause;
     /**@}*/
+
+    /** deliverResponse()'s woken-waiter list, reused so a fill
+     *  allocates nothing. */
+    std::vector<MshrWaiter> fillWoken;
 
     bool finishedLatched = false;
     /** Stall cause a skipped span integrates (see quiesceHorizon). */

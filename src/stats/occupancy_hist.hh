@@ -71,18 +71,21 @@ class OccupancyHist
         lifetime += cycles;
     }
 
-    /** Map an occupancy to its band. Requires 0 < occ <= cap. */
+    /**
+     * Map an occupancy to its band. Requires 0 < occ <= cap. The band
+     * edges occ/cap < 1/4, 1/2, 3/4 are compared in exact integer
+     * arithmetic (no division per sample).
+     */
     static OccBand
     classify(std::size_t occ, std::size_t cap)
     {
         if (occ == cap)
             return OccBand::Full;
-        double frac = static_cast<double>(occ) / static_cast<double>(cap);
-        if (frac < 0.25)
+        if (4 * occ < cap)
             return OccBand::UnderQuarter;
-        if (frac < 0.50)
+        if (2 * occ < cap)
             return OccBand::UnderHalf;
-        if (frac < 0.75)
+        if (4 * occ < 3 * cap)
             return OccBand::UnderThreeQ;
         return OccBand::UnderFull;
     }

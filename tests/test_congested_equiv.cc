@@ -15,8 +15,8 @@
  * run was congested -- nonzero backpressure counters at every level --
  * before asserting equivalence.
  *
- * The skip scheduler also elides individually quiescent cores inside
- * executed core edges. Its proof leans on the memory system below the
+ * The skip scheduler also puts individually quiescent cores to sleep
+ * inside executed core edges. Its proof leans on the memory system below the
  * L1s, so the byte-identity check repeats on the hierarchies where
  * that differs (ideal pipes keyed on the pre-incremented core cycle,
  * and L1-bypass replies completing memory ops directly), and the
@@ -28,6 +28,7 @@
 #include <cctype>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/dse.hh"
 #include "gpu/gpu.hh"
@@ -210,6 +211,49 @@ TEST(CongestedEquiv, SkipModeIsDeterministic)
     const std::string b = dumpUnder(SchedulerMode::Skip);
     EXPECT_TRUE(a == b) << "skip mode not deterministic at "
                         << firstDiff(a, b);
+}
+
+/**
+ * Stats read mid-run must already be exact: a core asleep under the
+ * skip scheduler owes every cycle since it fell asleep, so runCycles()
+ * has to charge all sleepers before it returns. Stop a congested run
+ * at several points under each scheduler and compare the full trees,
+ * then finish it with run().
+ */
+TEST(CongestedEquiv, MidRunStopsMatchLockstep)
+{
+    const std::uint64_t stops[] = {1, 2, 37, 500, 3001, 6000, 9000};
+    auto dumps = [&stops](SchedulerMode mode, std::uint64_t &elided) {
+        ScopedSchedulerMode scope(mode);
+        Gpu gpu(GpuConfig::baseline(), congestedProfile());
+        std::vector<std::string> out;
+        std::uint64_t at = 0;
+        for (std::uint64_t stop : stops) {
+            gpu.runCycles(stop - at);
+            at = stop;
+            std::ostringstream os;
+            gpu.dumpStats(os);
+            out.push_back(os.str());
+        }
+        EXPECT_FALSE(gpu.allWorkDone()) << "stops outlast the run";
+        EXPECT_FALSE(gpu.run().timedOut);
+        std::ostringstream os;
+        gpu.dumpStats(os);
+        out.push_back(os.str());
+        elided = gpu.elidedCoreTicks();
+        return out;
+    };
+    std::uint64_t lock_elided = 0, skip_elided = 0;
+    const auto lock = dumps(SchedulerMode::Lockstep, lock_elided);
+    const auto skip = dumps(SchedulerMode::Skip, skip_elided);
+    EXPECT_EQ(lock_elided, 0u);
+    EXPECT_GT(skip_elided, 0u) << "no core ever slept";
+    ASSERT_EQ(lock.size(), skip.size());
+    for (std::size_t i = 0; i < lock.size(); ++i) {
+        EXPECT_TRUE(lock[i] == skip[i])
+            << "stop " << i << ": lockstep and skip stats diverged at "
+            << firstDiff(lock[i], skip[i]);
+    }
 }
 
 /** Lockstep vs skip on the hierarchies the per-core proof differs on. */

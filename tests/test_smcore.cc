@@ -199,10 +199,10 @@ struct DrivenCore
 };
 
 /**
- * Per-core elision's invariant: on a span where quiesceHorizon() >= n,
- * n rounds of `quiesceHorizon(); skipCycles(1)` (what Gpu::coreTick
- * does for a quiescent core inside an executed core edge) leave the
- * core exactly as one skipCycles(n) does. Drives two identical cores
+ * The core sleep set's invariant: on a span where quiesceHorizon() >= n,
+ * n rounds of `quiesceHorizon(); skipCycles(1)` (one elided tick per
+ * executed core edge) leave the core exactly as the one skipCycles(n)
+ * Gpu::coreTick charges a core that slept through n edges. Drives two identical cores
  * in step and integrates every such span both ways, until one of them
  * replays memoized stalls of the L1I (@p fetch) or the L1D; then
  * requires equal stats trees and equal runs to completion.

@@ -208,6 +208,28 @@ TEST(OccupancyHist, BandClassification)
     EXPECT_EQ(OccupancyHist::classify(8, 8), OccBand::Full);
 }
 
+TEST(OccupancyHist, IntegerBandsMatchDoubleFractionExhaustively)
+{
+    // The band edges used to be tested on a double occ/cap; the
+    // integer comparisons must agree on every queue up to 512 deep.
+    auto by_double = [](std::size_t occ, std::size_t cap) {
+        if (occ == cap)
+            return OccBand::Full;
+        double frac = static_cast<double>(occ) / static_cast<double>(cap);
+        if (frac < 0.25)
+            return OccBand::UnderQuarter;
+        if (frac < 0.50)
+            return OccBand::UnderHalf;
+        if (frac < 0.75)
+            return OccBand::UnderThreeQ;
+        return OccBand::UnderFull;
+    };
+    for (std::size_t cap = 1; cap <= 512; ++cap)
+        for (std::size_t occ = 1; occ <= cap; ++occ)
+            ASSERT_EQ(OccupancyHist::classify(occ, cap), by_double(occ, cap))
+                << occ << "/" << cap;
+}
+
 TEST(OccupancyHist, EmptyCyclesIgnored)
 {
     OccupancyHist h;
